@@ -9,9 +9,13 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X dyngraph/internal/buildinfo.Version=$(VERSION)
 
-.PHONY: tier1 vet build test race ci bench benchsmoke trace-smoke fuzz-smoke crash-smoke hibernate-smoke incremental-smoke cluster-smoke obs-smoke grow-smoke install
+.PHONY: tier1 fmt vet build test race ci bench benchsmoke trace-smoke fuzz-smoke crash-smoke hibernate-smoke incremental-smoke cluster-smoke obs-smoke grow-smoke install
 
-tier1: vet build test
+tier1: fmt vet build test
+
+# gofmt -l prints every file whose formatting differs; any output fails.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:" >&2; echo "$$out" >&2; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -34,8 +38,21 @@ race:
 
 ci: tier1 race
 
+# smoke-tests PATTERN,PACKAGES runs the -run filtered tests under the
+# race detector, after failing if PATTERN selects no test in one of
+# PACKAGES: go test passes silently when a pattern matches nothing, so a
+# renamed test would otherwise leave a smoke target green while it runs
+# nothing.
+define smoke-tests
+	@for p in $(2); do \
+		out=$$($(GO) test -list '$(1)' $$p) || exit 1; \
+		echo "$$out" | grep -q '^Test' || { echo "pattern '$(1)' selects no test in $$p" >&2; exit 1; }; \
+	done
+	$(GO) test -race -run '$(1)' -count=1 $(2)
+endef
+
 # Full Go benchmark pass, then the streaming cold-vs-warm and the
-# blocked-vs-per-row experiments with their machine-readable artifacts.
+# blocked-build experiments with their machine-readable artifacts.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	$(GO) run ./cmd/cadbench -exp stream -benchout BENCH_stream.json
@@ -57,7 +74,7 @@ benchsmoke:
 # the end-to-end streaming variant in service. CI runs this.
 incremental-smoke:
 	$(GO) run ./cmd/cadbench -exp incremental -n 1000
-	$(GO) test -race -run 'TestIncremental|TestOnlineIncremental|TestWoodbury|TestIncidence' -count=1 ./internal/solver ./internal/commute ./internal/core ./internal/service
+	$(call smoke-tests,TestIncremental|TestOnlineIncremental|TestWoodbury|TestIncidence,./internal/solver ./internal/commute ./internal/core ./internal/service)
 
 # End-to-end check of the tracing pipeline: run cadrun over the toy
 # dataset with -trace-out and validate the Chrome trace_event document
@@ -80,7 +97,7 @@ fuzz-smoke:
 # cycle. CI runs this.
 hibernate-smoke:
 	$(GO) run ./cmd/cadbench -exp hibernate -streams 100
-	$(GO) test -race -run 'TestHibernat|TestGovernor|TestCrashDuringHibernationChurn' -count=1 ./internal/service ./cmd/cadd
+	$(call smoke-tests,TestHibernat|TestGovernor|TestCrashDuringHibernationChurn,./internal/service ./cmd/cadd)
 
 # Cluster smoke: real cadd subprocesses — three ring nodes plus the
 # router replaying an Enron prefix byte-identically to a single node,
@@ -88,7 +105,7 @@ hibernate-smoke:
 # in-process cluster suite (ring pins, scatter merges, replication
 # byte-identity). CI runs this.
 cluster-smoke:
-	$(GO) test -race -run 'TestCluster' -count=1 ./cmd/cadd
+	$(call smoke-tests,TestCluster,./cmd/cadd)
 	$(GO) test -race -count=1 ./internal/cluster
 
 # Observability smoke: real cadd subprocesses — three ring nodes with a
@@ -100,7 +117,7 @@ cluster-smoke:
 # cadtop render tests ride along so the operations view stays honest
 # against the same document shapes. CI runs this.
 obs-smoke:
-	$(GO) test -race -run 'TestObsSmoke' -count=1 ./cmd/cadd
+	$(call smoke-tests,TestObsSmoke,./cmd/cadd)
 	$(GO) test -race -count=1 ./cmd/cadtop
 
 # The durability acceptance test: build the real cadd binary, kill -9
@@ -108,7 +125,7 @@ obs-smoke:
 # /report to be byte-identical to an uninterrupted run. Runs under
 # -race so the recovery path is also raced. CI runs this.
 crash-smoke:
-	$(GO) test -race -run 'TestCrashRecovery|TestDurability' -count=1 ./cmd/cadd ./internal/service
+	$(call smoke-tests,TestCrashRecovery|TestDurability,./cmd/cadd ./internal/service)
 
 # Dynamic-vertex-set smoke: the datagen grow dataset (a growing
 # sequence, exercising the text format's `v t count` directives)
@@ -120,4 +137,4 @@ crash-smoke:
 grow-smoke:
 	$(GO) run ./cmd/datagen -dataset grow -out /tmp/cad-grow-smoke.txt
 	$(GO) run ./cmd/cadrun -in /tmp/cad-grow-smoke.txt > /dev/null
-	$(GO) test -race -run 'TestGrow|TestFailedPushRetry|TestExternalID|TestDurabilityRecoveryGrowth|TestHibernateRehydrateGrowth' -count=1 ./cmd/cadd ./internal/service
+	$(call smoke-tests,TestGrow|TestFailedPushRetry|TestExternalID|TestDurabilityRecoveryGrowth|TestHibernateRehydrateGrowth,./cmd/cadd ./internal/service)

@@ -453,7 +453,7 @@ func ClosenessScores(seq *Sequence) [][]float64 {
 // exact for small graphs, the k-dimensional embedding otherwise (see
 // Options.ExactCutoff semantics; pass 0 for the defaults).
 func CommuteTimes(g *Graph, k int, seed int64, exactCutoff int) (interface{ Distance(i, j int) float64 }, error) {
-	return commute.New(g, commute.Config{K: k, Seed: seed}, exactCutoff)
+	return commute.New(g, nil, commute.Config{K: k, Seed: seed}, exactCutoff, nil)
 }
 
 // AUC computes the area under the ROC curve of scores against binary

@@ -45,7 +45,7 @@ func BenchmarkEmbeddingBuild(b *testing.B) {
 		for _, k := range []int{10, 50} {
 			b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := NewEmbedding(g, Config{K: k, Seed: 1}); err != nil {
+					if _, err := NewEmbedding(g, nil, Config{K: k, Seed: 1}, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -66,14 +66,14 @@ func BenchmarkEmbeddingBlockedVsPerRow(b *testing.B) {
 		cfg := Config{K: 24, Seed: 1, SharedProjections: true}
 		b.Run(fmt.Sprintf("n=%d/blocked", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := NewEmbedding(g, cfg); err != nil {
+				if _, err := NewEmbedding(g, nil, cfg, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/perrow", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := NewEmbeddingPerRowFrom(g, nil, cfg); err != nil {
+				if _, err := newEmbeddingPerRow(g, nil, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -84,7 +84,7 @@ func BenchmarkEmbeddingBlockedVsPerRow(b *testing.B) {
 func BenchmarkDistanceQuery(b *testing.B) {
 	g := benchGraph(300)
 	exact := NewExact(g)
-	emb, err := NewEmbedding(g, Config{K: 50, Seed: 1})
+	emb, err := NewEmbedding(g, nil, Config{K: 50, Seed: 1}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

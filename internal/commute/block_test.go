@@ -1,9 +1,69 @@
 package commute
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+
+	"dyngraph/internal/graph"
+	"dyngraph/internal/solver"
 )
+
+// newEmbeddingPerRow is the per-row reference for the block build: the
+// same solver setup NewEmbedding performs, then k independent width-1
+// solves (the single-RHS PCG loop), each warm-started from prev's
+// column when prev is reusable. It produces bit-identical embeddings to
+// the block path (TestBlockBuildMatchesPerRowBitwise) and is the
+// baseline of BenchmarkEmbeddingBlockedVsPerRow. It covers cold and
+// warm builds only: no sparsification, no Woodbury correction.
+func newEmbeddingPerRow(g *graph.Graph, prev *Embedding, cfg Config) (*Embedding, error) {
+	if !cfg.reuses(prev, g) {
+		prev = nil
+	}
+	var b solver.Build
+	if prev != nil && prev.n == g.N() {
+		diff, err := graph.DiffSupport(prev.g, g)
+		if err != nil {
+			return nil, err
+		}
+		b = solver.Build{Prev: prev.lap, PrevG: prev.g, Diff: diff}
+	}
+	n, k := g.N(), cfg.k()
+	lap := solver.New(g, cfg.Solver, b)
+	emb := &Embedding{n: n, k: k, volume: g.Volume(), z: make([]float64, n*k), g: g, lap: lap, key: cfg.key()}
+	emb.stats = BuildStats{Rows: k, Warm: prev != nil, PrecondReused: lap.ReusedPrecond()}
+	// Mirror the block path's re-centering rule (see Embedding.solve).
+	recenter := prev != nil && !sameComponents(lap, prev.lap)
+	edges := g.Edges()
+	scale := 1 / math.Sqrt(float64(k))
+	y := make([]float64, n)
+	x := make([]float64, n)
+	for row := 0; row < k; row++ {
+		clear(y)
+		projectionRHS(y, 1, 0, row, edges, cfg, scale)
+		clear(x)
+		if prev != nil {
+			// On a grown vertex set only the retained vertices have
+			// previous values; new vertices' entries start at zero.
+			for i := 0; i < prev.n; i++ {
+				x[i] = prev.z[i*k+row]
+			}
+			if recenter {
+				lap.ProjectBlock(x, 1)
+			}
+		}
+		st, err := lap.SolveBlock(x, y, 1, solver.Solve{Warm: prev != nil})
+		emb.stats.PCGIterations += st[0].Iterations
+		if err != nil {
+			return nil, fmt.Errorf("commute: embedding row %d: %w", row, err)
+		}
+		for i := 0; i < n; i++ {
+			emb.z[i*k+row] = x[i]
+		}
+	}
+	return emb, nil
+}
 
 // The block build path must reproduce the per-row reference path
 // bit-for-bit: the blocked PCG performs the same per-column arithmetic
@@ -14,11 +74,11 @@ func TestBlockBuildMatchesPerRowBitwise(t *testing.T) {
 	g1 := editGraph(rng, g0, 5)
 	for _, shared := range []bool{false, true} {
 		cfg := Config{K: 9, Seed: 13, SharedProjections: shared}
-		blk, err := NewEmbedding(g0, cfg)
+		blk, err := NewEmbedding(g0, nil, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewEmbeddingPerRowFrom(g0, nil, cfg)
+		ref, err := newEmbeddingPerRow(g0, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,11 +96,11 @@ func TestBlockBuildMatchesPerRowBitwise(t *testing.T) {
 		}
 		// Warm rebuild across an edit: both paths start every column
 		// from blk/ref's solutions and must stay bit-identical.
-		wblk, err := NewEmbeddingFrom(g1, blk, cfg)
+		wblk, err := NewEmbedding(g1, blk, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wref, err := NewEmbeddingPerRowFrom(g1, ref, cfg)
+		wref, err := newEmbeddingPerRow(g1, ref, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +121,7 @@ func TestBlockBuildMatchesPerRowBitwise(t *testing.T) {
 func TestBlockIterationsStats(t *testing.T) {
 	g := benchGraph(300)
 	cfg := Config{K: 8, Seed: 3, SharedProjections: true}
-	cold, err := NewEmbedding(g, cfg)
+	cold, err := NewEmbedding(g, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +132,7 @@ func TestBlockIterationsStats(t *testing.T) {
 	if st.BlockIterations > st.PCGIterations {
 		t.Fatalf("BlockIterations %d exceeds total PCGIterations %d", st.BlockIterations, st.PCGIterations)
 	}
-	warm, err := NewEmbeddingFrom(g, cold, cfg)
+	warm, err := NewEmbedding(g, cold, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +148,14 @@ func TestBlockIterationsStats(t *testing.T) {
 func TestBlockWorkersBitIdentical(t *testing.T) {
 	g := benchGraph(700) // above the parallel kernel's serial cutoff
 	cfg := Config{K: 6, Seed: 11, SharedProjections: true}
-	seq, err := NewEmbedding(g, cfg)
+	seq, err := NewEmbedding(g, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 8} {
 		cfgw := cfg
 		cfgw.Workers = w
-		par, err := NewEmbedding(g, cfgw)
+		par, err := NewEmbedding(g, nil, cfgw, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

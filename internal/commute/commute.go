@@ -29,8 +29,7 @@ package commute
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"dyngraph/internal/dense"
 	"dyngraph/internal/graph"
@@ -110,7 +109,7 @@ type Config struct {
 	// the coefficient of every edge is independent of which other edges
 	// exist. Across consecutive snapshots of a stream this gives common
 	// random numbers: a row's right-hand side changes only where edges
-	// changed, which is what lets NewEmbeddingFrom warm-start each
+	// changed, which is what lets NewEmbedding warm-start each
 	// solve from the previous snapshot's solution, and it reduces the
 	// variance of commute-time *differences* between snapshots (the
 	// quantity CAD scores). The paper's experiments instead draw
@@ -130,7 +129,7 @@ type Config struct {
 	// at 1 for small ones.
 	Workers int
 	// IncrementalUpdates enables the low-rank (Woodbury) update path in
-	// NewEmbeddingIncremental: when consecutive snapshots differ by at
+	// NewEmbedding: when consecutive snapshots differ by at
 	// most IncrementalMaxEdits edges and the component structure is
 	// unchanged, the embedding block is corrected directly — one base
 	// solve per edited edge plus O(n·k) dense work — instead of
@@ -211,11 +210,10 @@ type BuildStats struct {
 	// performed — the maximum per-row count, since the block solver
 	// carries all k rows per iteration and deactivates rows as they
 	// converge. Each block iteration streams the Laplacian once, so
-	// this (not PCGIterations) counts matrix traversals. Zero for the
-	// retained per-row build path.
+	// this (not PCGIterations) counts matrix traversals.
 	BlockIterations int
 	// Warm is true when the rows were warm-started from a previous
-	// snapshot's embedding (NewEmbeddingFrom with a compatible prev).
+	// snapshot's embedding (NewEmbedding with a compatible prev).
 	Warm bool
 	// PrecondReused is true when the solver's preconditioner setup was
 	// shared or patched from the previous snapshot instead of rebuilt.
@@ -252,7 +250,7 @@ type Embedding struct {
 	volume float64
 	z      []float64 // n*k, z[i*k:(i+1)*k] is vertex i's vector
 
-	// Retained for incremental rebuilds (NewEmbeddingFrom): the graph
+	// Retained for incremental rebuilds (NewEmbedding): the graph
 	// this embedding belongs to, the solver whose preconditioner the
 	// next snapshot may patch, and the config fingerprint that gates
 	// reuse. g and lap are immutable once built.
@@ -285,80 +283,93 @@ type Embedding struct {
 // Stats reports the work this embedding's build performed.
 func (e *Embedding) Stats() BuildStats { return e.stats }
 
-// NewEmbedding builds the approximate oracle by performing k Laplacian
-// solves. A solver convergence failure on any projection is reported as
+// reuses reports whether a build of g under c may reuse prev: it needs
+// shared projections (row right-hand sides that change only where edges
+// changed), the same K, Seed and solver configuration, and a vertex set
+// that did not shrink. A grown one keeps prev: edge-keyed projection
+// signs are position-independent, so the retained rows' solutions stay
+// valid warm guesses and the new vertices' rows start at zero.
+func (c Config) reuses(prev *Embedding, g *graph.Graph) bool {
+	return prev != nil && c.SharedProjections && prev.g != nil &&
+		prev.n <= g.N() && prev.key == c.key()
+}
+
+// NewEmbedding builds the approximate oracle for g by performing k
+// Laplacian solves, reusing prev — the previous snapshot's embedding,
+// or nil — wherever that is sound (see Config.SharedProjections). It is
+// the one place that picks the build path, recorded in Stats().Mode:
+//
+//   - "cold": no reusable prev — one blocked solve from scratch.
+//   - "incremental": Config.IncrementalUpdates is on and g differs from
+//     prev's graph by at most the edit budget within an unchanged
+//     component structure — prev's block is corrected by the low-rank
+//     Woodbury identity (see incremental.go).
+//   - "warm": any other reusable prev — blocked PCG warm-started from
+//     prev's solution block, on a solver that shares or patches prev's
+//     preconditioner. Consecutive snapshots of a sparse stream differ
+//     by a few edges, so this typically needs a small fraction of a
+//     cold build's iterations; on an unchanged graph the rebuild is
+//     free and bit-identical to prev.
+//
+// With Config.SparsifyTargetNNZ set, g is first capped by
+// effective-resistance sampling using prev's resistance estimates (the
+// first build of a stream is never sparsified). span is the parent of
+// the build's "sparsify", "precond", "woodbury", "projection" and "pcg"
+// spans; nil disables them. A solver convergence failure is reported as
 // an error (the partial embedding is not returned: a silently skewed
 // metric is worse than a loud failure).
-func NewEmbedding(g *graph.Graph, cfg Config) (*Embedding, error) {
-	return buildEmbedding(g, nil, cfg, nil)
-}
-
-// NewEmbeddingFrom builds the oracle for g incrementally from the
-// previous snapshot's embedding: the solver reuses (or patches) prev's
-// preconditioner where sound, and — because SharedProjections makes
-// each row's right-hand side change only where edges changed — every
-// row's solve is warm-started from prev's solution for that row.
-// Consecutive snapshots of a sparse stream differ by a few edges, so
-// warm-started PCG typically needs a small fraction of a cold build's
-// iterations; on an unchanged graph the rebuild is free and
-// bit-identical to prev.
-//
-// prev is ignored (cold build) when it is nil, or when reuse would be
-// unsound: SharedProjections off, or a different vertex count, K, Seed
-// or solver configuration. The built embedding records which path was
-// taken in Stats.
-func NewEmbeddingFrom(g *graph.Graph, prev *Embedding, cfg Config) (*Embedding, error) {
-	return NewEmbeddingFromTraced(g, prev, cfg, nil)
-}
-
-// NewEmbeddingFromTraced is NewEmbeddingFrom with observability spans
-// emitted under parent: "projection" (right-hand-side assembly) plus
-// the solver's "precond" and "pcg" spans, which together decompose the
-// build's cost and record its warm/cold mode and iteration counts. A
-// nil parent disables the spans.
-func NewEmbeddingFromTraced(g *graph.Graph, prev *Embedding, cfg Config, parent *obs.Span) (*Embedding, error) {
-	if prev == nil || !cfg.SharedProjections || prev.g == nil ||
-		prev.n > g.N() || prev.key != cfg.key() {
-		// Growth (prev.n < g.N()) keeps prev: edge-keyed projection
-		// signs are position-independent, so the retained rows'
-		// solutions stay valid warm guesses and the new vertices'
-		// rows start at zero. Only a shrunk vertex set discards.
+func NewEmbedding(g *graph.Graph, prev *Embedding, cfg Config, span *obs.Span) (*Embedding, error) {
+	if !cfg.reuses(prev, g) {
 		prev = nil
 	}
-	return buildEmbedding(g, prev, cfg, parent)
-}
-
-// newEmbeddingShell allocates the embedding and its solver, shared by
-// the block and per-row build paths; prev non-nil selects the
-// warm-started incremental path and must already be validated. parent
-// scopes the solver's preconditioner span (nil = untraced).
-func newEmbeddingShell(g *graph.Graph, prev *Embedding, diff []graph.Key, cfg Config, parent *obs.Span) *Embedding {
-	n := g.N()
-	k := cfg.k()
+	var dropped int
+	b := solver.Build{Span: span}
+	// Sparsification, solver reuse and the Woodbury correction all index
+	// state sized to the previous snapshot, so they need an unchanged
+	// vertex set; a grown snapshot warm-starts on a cold solver. The
+	// diff is taken here once per push and shared by the Woodbury
+	// decision and the solver's reuse path.
+	if prev != nil && prev.n == g.N() {
+		if cfg.SparsifyTargetNNZ > 0 {
+			g, dropped = sparsify(g, prev, cfg, span)
+		}
+		diff, err := graph.DiffSupport(prev.g, g)
+		if err != nil {
+			return nil, fmt.Errorf("commute: diff against the previous snapshot: %w", err)
+		}
+		b = solver.Build{Prev: prev.lap, PrevG: prev.g, Diff: diff, Span: span}
+	}
+	n, k := g.N(), cfg.k()
 	emb := &Embedding{
 		n:      n,
 		k:      k,
 		volume: g.Volume(),
 		z:      make([]float64, n*k),
 		g:      g,
+		lap:    solver.New(g, cfg.Solver, b),
 		key:    cfg.key(),
 	}
-	if prev != nil && diff != nil {
-		// The incremental path already diffed the snapshots; hand the
-		// support down so the solver's patched fast path skips its own
-		// DiffSupport walk.
-		emb.lap = solver.NewLaplacianFromDiffTraced(g, prev.g, prev.lap, diff, cfg.Solver, parent)
-	} else if prev != nil {
-		emb.lap = solver.NewLaplacianFromTraced(g, prev.g, prev.lap, cfg.Solver, parent)
-	} else {
-		emb.lap = solver.NewLaplacianTraced(g, cfg.Solver, parent)
-	}
-	mode := "cold"
+	emb.stats = BuildStats{Rows: k, PrecondReused: emb.lap.ReusedPrecond(), Mode: "cold", SparsifiedEdges: dropped}
+	sameComp := false
 	if prev != nil {
-		mode = "warm"
+		emb.stats.Warm = true
+		emb.stats.Mode = "warm"
+		sameComp = sameComponents(emb.lap, prev.lap)
+		if edits := len(b.Diff); cfg.IncrementalUpdates && prev.y != nil && sameComp &&
+			edits > 0 && edits <= cfg.incrementalMaxEdits() {
+			ok, err := emb.correct(prev, b.Diff, cfg, span)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				return emb, nil
+			}
+		}
 	}
-	emb.stats = BuildStats{Rows: k, Warm: prev != nil, PrecondReused: emb.lap.ReusedPrecond(), Mode: mode}
-	return emb
+	if err := emb.solve(prev, sameComp, cfg, span); err != nil {
+		return nil, err
+	}
+	return emb, nil
 }
 
 // embedRowSeed derives projection row `row`'s random stream, so the
@@ -391,21 +402,22 @@ func projectionRHS(y []float64, stride, col, row int, edges []graph.Edge, cfg Co
 	}
 }
 
-// buildEmbedding performs the k Laplacian solves as one blocked
-// multi-RHS PCG call: the embedding's row-major z storage (vertex i's
-// vector at z[i*k:(i+1)*k]) is exactly the solver's block layout, so
-// the right-hand sides are assembled in place, the previous snapshot's
-// z doubles as the warm-start block with a single copy, and no per-row
+// solve performs the k Laplacian solves of a cold or warm build as one
+// blocked multi-RHS PCG call: the embedding's row-major z storage
+// (vertex i's vector at z[i*k:(i+1)*k]) is exactly the solver's block
+// layout, so the right-hand sides are assembled in place, prev's z
+// doubles as the warm-start block with a single copy, and no per-row
 // gather/scatter remains. Workers shards the per-iteration SpMM row
-// ranges; the result is bit-identical for every value, and matches the
-// retained per-row reference path (buildEmbeddingPerRow) bit-for-bit.
-func buildEmbedding(g *graph.Graph, prev *Embedding, cfg Config, parent *obs.Span) (*Embedding, error) {
-	emb := newEmbeddingShell(g, prev, nil, cfg, parent)
+// ranges; the result is bit-identical for every value, and matches k
+// independent width-1 solves bit-for-bit (the per-row reference in
+// block_test.go). prev nil builds cold; sameComp reports whether emb's
+// solver carries prev's component labelling.
+func (emb *Embedding) solve(prev *Embedding, sameComp bool, cfg Config, span *obs.Span) error {
 	n, k := emb.n, emb.k
-	edges := g.Edges()
+	edges := emb.g.Edges()
 	scale := 1 / math.Sqrt(float64(k))
 
-	proj := parent.StartChild("projection")
+	proj := span.StartChild("projection")
 	y := make([]float64, n*k)
 	for row := 0; row < k; row++ {
 		projectionRHS(y, k, row, row, edges, cfg, scale)
@@ -415,8 +427,6 @@ func buildEmbedding(g *graph.Graph, prev *Embedding, cfg Config, parent *obs.Spa
 	proj.SetBool("shared", cfg.SharedProjections)
 	proj.End()
 
-	var stats []solver.Stats
-	var err error
 	if prev != nil {
 		// Warm start every column from the previous snapshot's
 		// solution — prev.z already is the n×k guess block. If the
@@ -431,150 +441,42 @@ func buildEmbedding(g *graph.Graph, prev *Embedding, cfg Config, parent *obs.Spa
 		// zero) and sameComponents reports false on the length mismatch,
 		// so the extended guess block is always re-centered.
 		copy(emb.z, prev.z)
-		if !sameComponents(emb.lap, prev.lap) {
+		if !sameComp {
 			emb.lap.ProjectBlock(emb.z, k)
 		}
-		stats, err = emb.lap.SolveBlockFromTraced(emb.z, y, k, cfg.workers(), parent)
-	} else {
-		stats, err = emb.lap.SolveBlockTraced(emb.z, y, k, cfg.workers(), parent)
 	}
+	stats, err := emb.lap.SolveBlock(emb.z, y, k, solver.Solve{Warm: prev != nil, Workers: cfg.workers(), Span: span})
+	emb.countSolve(stats)
+	if err != nil {
+		return fmt.Errorf("commute: embedding block solve: %w", err)
+	}
+	if cfg.retainRHS() {
+		emb.y = y
+		emb.certify(stats)
+	}
+	return nil
+}
+
+// countSolve adds a blocked solve's per-column iterations to the build
+// stats; its widest column is the solve's traversal count.
+func (emb *Embedding) countSolve(stats []solver.Stats) {
 	for _, st := range stats {
 		emb.stats.PCGIterations += st.Iterations
 		if st.Iterations > emb.stats.BlockIterations {
 			emb.stats.BlockIterations = st.Iterations
 		}
 	}
-	if err != nil {
-		return nil, fmt.Errorf("commute: embedding block solve: %w", err)
-	}
-	if cfg.retainRHS() {
-		emb.y = y
-		emb.resBound = make([]float64, k)
-		emb.normB = make([]float64, k)
-		for c, st := range stats {
-			emb.resBound[c] = st.Residual * st.NormB
-			emb.normB[c] = st.NormB
-		}
-	}
-	return emb, nil
 }
 
-// NewEmbeddingPerRowFrom builds the oracle with the pre-block path — k
-// independent single-RHS solves, optionally farmed out to Workers
-// goroutines over cloned solvers — warm-started from prev when it is
-// compatible (nil means cold). It produces bit-identical embeddings to
-// the block path and is retained as the reference implementation for
-// the equivalence tests and the blocked-vs-per-row benchmarks
-// (BenchmarkEmbeddingBlockedVsPerRow, cadbench -exp block).
-func NewEmbeddingPerRowFrom(g *graph.Graph, prev *Embedding, cfg Config) (*Embedding, error) {
-	if prev == nil || !cfg.SharedProjections || prev.g == nil ||
-		prev.n > g.N() || prev.key != cfg.key() {
-		// Same growth rule as NewEmbeddingFromTraced: retained rows
-		// warm-start, a shrunk vertex set discards.
-		prev = nil
+// certify resets the per-column residual certificates to the values a
+// solve of the full block measured.
+func (emb *Embedding) certify(stats []solver.Stats) {
+	emb.resBound = make([]float64, emb.k)
+	emb.normB = make([]float64, emb.k)
+	for c, st := range stats {
+		emb.resBound[c] = st.Residual * st.NormB
+		emb.normB[c] = st.NormB
 	}
-	return buildEmbeddingPerRow(g, prev, cfg)
-}
-
-// buildEmbeddingPerRow is the per-row reference build loop behind
-// NewEmbeddingPerRowFrom. It stays untraced: the block path is the
-// production one, and the differential tests compare against this loop
-// with zero instrumentation in the way.
-func buildEmbeddingPerRow(g *graph.Graph, prev *Embedding, cfg Config) (*Embedding, error) {
-	emb := newEmbeddingShell(g, prev, nil, cfg, nil)
-	n, k := emb.n, emb.k
-	lap := emb.lap
-	edges := g.Edges()
-	scale := 1 / math.Sqrt(float64(k))
-	workers := cfg.workers()
-	if workers > k {
-		workers = k
-	}
-	// Mirror the block path's re-centering rule (see buildEmbedding).
-	recenter := prev != nil && !sameComponents(lap, prev.lap)
-
-	// solveRow assembles row's right-hand side, solves L x = y into the
-	// reusable scratch x, and scatters the solution into the
-	// embedding's column. It returns the solve's PCG iteration count.
-	solveRow := func(lap *solver.Laplacian, y, x []float64, row int) (int, error) {
-		sparse.Zero(y)
-		projectionRHS(y, 1, 0, row, edges, cfg, scale)
-		var st solver.Stats
-		var err error
-		if prev != nil {
-			// Warm start from the previous snapshot's solution of this
-			// row's (slightly different) system. On a grown vertex set
-			// only the retained vertices have previous values; new
-			// vertices' entries start at zero, like the block path.
-			sparse.Zero(x)
-			for i := 0; i < n && i < prev.n; i++ {
-				x[i] = prev.z[i*k+row]
-			}
-			if recenter {
-				lap.Project(x)
-			}
-			st, err = lap.SolveFromInto(x, y)
-		} else {
-			st, err = lap.SolveInto(x, y)
-		}
-		if err != nil {
-			return st.Iterations, fmt.Errorf("commute: embedding row %d: %w", row, err)
-		}
-		for i := 0; i < n; i++ {
-			emb.z[i*k+row] = x[i]
-		}
-		return st.Iterations, nil
-	}
-
-	if workers == 1 {
-		y := make([]float64, n)
-		x := make([]float64, n)
-		for row := 0; row < k; row++ {
-			iters, err := solveRow(lap, y, x, row)
-			emb.stats.PCGIterations += iters
-			if err != nil {
-				return nil, err
-			}
-		}
-		return emb, nil
-	}
-
-	// The row channel is pre-filled and buffered so a worker bailing
-	// out on error can never leave a blocked sender behind. Workers
-	// clone the one solver setup instead of rebuilding it per worker.
-	rows := make(chan int, k)
-	for row := 0; row < k; row++ {
-		rows <- row
-	}
-	close(rows)
-	errs := make(chan error, workers)
-	var iterTotal atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wlap := lap.Clone()
-			y := make([]float64, n)
-			x := make([]float64, n)
-			for row := range rows {
-				iters, err := solveRow(wlap, y, x, row)
-				iterTotal.Add(int64(iters))
-				if err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	emb.stats.PCGIterations = int(iterTotal.Load())
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
-	return emb, nil
 }
 
 // sameComponents reports whether two solvers carry the identical
@@ -583,15 +485,7 @@ func buildEmbeddingPerRow(g *graph.Graph, prev *Embedding, cfg Config) (*Embeddi
 func sameComponents(a, b *solver.Laplacian) bool {
 	ca, na := a.Components()
 	cb, nb := b.Components()
-	if na != nb || len(ca) != len(cb) {
-		return false
-	}
-	for i := range ca {
-		if ca[i] != cb[i] {
-			return false
-		}
-	}
-	return true
+	return na == nb && slices.Equal(ca, cb)
 }
 
 // edgeSign derives a deterministic Rademacher ±1 for one (row, edge)
@@ -646,53 +540,35 @@ func (e *Embedding) EffectiveResistance(i, j int) float64 {
 	return sparse.SquaredDistance(e.Vector(i), e.Vector(j))
 }
 
-// New returns the oracle the paper's experimental setup would pick:
-// exact when n is small enough that O(n³) is trivial (the Enron case),
-// otherwise the k-dimensional embedding. exactCutoff ≤ 0 selects a
-// default of 400 vertices.
-func New(g *graph.Graph, cfg Config, exactCutoff int) (Oracle, error) {
-	return NewTraced(g, cfg, exactCutoff, nil)
-}
-
-// NewTraced is New with observability spans emitted under parent (see
-// NewEmbeddingFromTraced); the exact regime emits a single "pinv" span
-// since the dense pseudoinverse has no stages worth splitting.
-func NewTraced(g *graph.Graph, cfg Config, exactCutoff int, parent *obs.Span) (Oracle, error) {
-	if exactCutoff <= 0 {
-		exactCutoff = 400
-	}
-	if g.N() <= exactCutoff {
-		sp := parent.StartChild("pinv")
-		e := NewExact(g)
-		sp.SetInt("n", int64(g.N()))
-		sp.End()
-		return e, nil
-	}
-	return NewEmbeddingFromTraced(g, nil, cfg, parent)
-}
-
-// NewFrom is New with incremental reuse: when prev is an embedding
-// compatible with cfg (see NewEmbeddingFrom), the build warm-starts
-// from it; otherwise — including the small-n exact regime, where
-// builds are cheap and incremental machinery would buy nothing — it
-// behaves exactly like New.
-func NewFrom(g *graph.Graph, prev Oracle, cfg Config, exactCutoff int) (Oracle, error) {
-	return NewFromTraced(g, prev, cfg, exactCutoff, nil)
-}
-
-// NewFromTraced is NewFrom with observability spans emitted under
-// parent — the streaming detector's per-push entry point.
-func NewFromTraced(g *graph.Graph, prev Oracle, cfg Config, exactCutoff int, parent *obs.Span) (Oracle, error) {
-	if exactCutoff <= 0 {
-		exactCutoff = 400
-	}
-	if g.N() <= exactCutoff {
-		sp := parent.StartChild("pinv")
+// New returns the oracle the paper's experimental setup would pick for
+// g: exact when UseExact(g.N(), exactCutoff) — O(n³) is trivial there
+// (the Enron case), and rebuilding is cheap enough that incremental
+// reuse would buy nothing — otherwise NewEmbedding, reusing prev when it
+// is a compatible embedding. The exact regime emits a single "pinv"
+// span under span, since the dense pseudoinverse has no stages worth
+// splitting.
+func New(g *graph.Graph, prev Oracle, cfg Config, exactCutoff int, span *obs.Span) (Oracle, error) {
+	if UseExact(g.N(), exactCutoff) {
+		sp := span.StartChild("pinv")
 		e := NewExact(g)
 		sp.SetInt("n", int64(g.N()))
 		sp.End()
 		return e, nil
 	}
 	prevEmb, _ := prev.(*Embedding)
-	return NewEmbeddingFromTraced(g, prevEmb, cfg, parent)
+	emb, err := NewEmbedding(g, prevEmb, cfg, span)
+	if err != nil {
+		return nil, err
+	}
+	return emb, nil
+}
+
+// UseExact reports whether New picks the exact oracle for an n-vertex
+// graph: n ≤ exactCutoff, where exactCutoff ≤ 0 selects the default of
+// 400 vertices.
+func UseExact(n, exactCutoff int) bool {
+	if exactCutoff <= 0 {
+		exactCutoff = 400
+	}
+	return n <= exactCutoff
 }

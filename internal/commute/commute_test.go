@@ -200,7 +200,7 @@ func TestEmbeddingApproximatesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomConnected(rng, 40)
 	exact := NewExact(g)
-	emb, err := NewEmbedding(g, Config{K: 400, Seed: 1, Solver: solver.Options{Tol: 1e-10}})
+	emb, err := NewEmbedding(g, nil, Config{K: 400, Seed: 1, Solver: solver.Options{Tol: 1e-10}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +223,11 @@ func TestEmbeddingApproximatesExact(t *testing.T) {
 func TestEmbeddingDeterministicForSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := randomConnected(rng, 20)
-	a, err := NewEmbedding(g, Config{K: 8, Seed: 99})
+	a, err := NewEmbedding(g, nil, Config{K: 8, Seed: 99}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewEmbedding(g, Config{K: 8, Seed: 99})
+	b, err := NewEmbedding(g, nil, Config{K: 8, Seed: 99}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestEmbeddingDisconnectedMatchesExactBlockFormula(t *testing.T) {
 	b.AddEdge(4, 5, 1)
 	g := b.MustBuild()
 	exact := NewExact(g)
-	emb, err := NewEmbedding(g, Config{K: 600, Seed: 1})
+	emb, err := NewEmbedding(g, nil, Config{K: 600, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,14 +265,14 @@ func TestEmbeddingDisconnectedMatchesExactBlockFormula(t *testing.T) {
 
 func TestNewSelectsOracleBySize(t *testing.T) {
 	small := pathGraph(10)
-	o, err := New(small, Config{K: 4, Seed: 1}, 400)
+	o, err := New(small, nil, Config{K: 4, Seed: 1}, 400, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := o.(*Exact); !ok {
 		t.Fatalf("small graph should use exact oracle, got %T", o)
 	}
-	o, err = New(small, Config{K: 4, Seed: 1}, 5)
+	o, err = New(small, nil, Config{K: 4, Seed: 1}, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +290,11 @@ func TestConfigDefaults(t *testing.T) {
 func TestEmbeddingParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := randomConnected(rng, 60)
-	seq, err := NewEmbedding(g, Config{K: 16, Seed: 5, Workers: 1})
+	seq, err := NewEmbedding(g, nil, Config{K: 16, Seed: 5, Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewEmbedding(g, Config{K: 16, Seed: 5, Workers: 4})
+	par, err := NewEmbedding(g, nil, Config{K: 16, Seed: 5, Workers: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestEmbeddingWorkersExceedingK(t *testing.T) {
 	// Workers shards matrix rows, not solves, so worker counts beyond k
 	// (and beyond the row count's worth of useful shards) must still
 	// work.
-	if _, err := NewEmbedding(g, Config{K: 3, Seed: 1, Workers: 16}); err != nil {
+	if _, err := NewEmbedding(g, nil, Config{K: 3, Seed: 1, Workers: 16}, nil); err != nil {
 		t.Fatal(err)
 	}
 }

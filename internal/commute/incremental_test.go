@@ -40,11 +40,11 @@ func editGraph(rng *rand.Rand, g *graph.Graph, edits int) *graph.Graph {
 func TestEmbeddingFromUnchangedGraphIsBitIdentical(t *testing.T) {
 	g := benchGraph(300)
 	cfg := Config{K: 12, Seed: 9, SharedProjections: true}
-	cold, err := NewEmbedding(g, cfg)
+	cold, err := NewEmbedding(g, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := NewEmbeddingFrom(g, cold, cfg)
+	warm, err := NewEmbedding(g, cold, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +71,15 @@ func TestEmbeddingFromSmallEditAgreesWithCold(t *testing.T) {
 	g1 := editGraph(rng, g0, 5)
 	cfg := Config{K: 12, Seed: 9, SharedProjections: true}
 
-	prev, err := NewEmbedding(g0, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := NewEmbeddingFrom(g1, prev, cfg)
+	warm, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewEmbedding(g1, cfg)
+	cold, err := NewEmbedding(g1, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestEmbeddingFromSmallEditAgreesWithCold(t *testing.T) {
 func TestEmbeddingFromRejectsIncompatiblePrev(t *testing.T) {
 	g := benchGraph(300)
 	base := Config{K: 10, Seed: 1, SharedProjections: true}
-	prev, err := NewEmbedding(g, base)
+	prev, err := NewEmbedding(g, nil, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestEmbeddingFromRejectsIncompatiblePrev(t *testing.T) {
 		{K: 10, Seed: 1, SharedProjections: false}, // shared off
 	}
 	for ci, cfg := range cases {
-		emb, err := NewEmbeddingFrom(g, prev, cfg)
+		emb, err := NewEmbedding(g, prev, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,17 +133,17 @@ func TestEmbeddingFromWorkersInvariant(t *testing.T) {
 	g0 := benchGraph(300)
 	g1 := editGraph(rng, g0, 4)
 	cfg := Config{K: 8, Seed: 3, SharedProjections: true}
-	prev, err := NewEmbedding(g0, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := NewEmbeddingFrom(g1, prev, cfg)
+	seq, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgPar := cfg
 	cfgPar.Workers = 4
-	par, err := NewEmbeddingFrom(g1, prev, cfgPar)
+	par, err := NewEmbedding(g1, prev, cfgPar, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestEmbeddingFromWorkersInvariant(t *testing.T) {
 func TestSharedProjectionsApproximatesExact(t *testing.T) {
 	g := benchGraph(250)
 	exact := NewExact(g)
-	emb, err := NewEmbedding(g, Config{K: 200, Seed: 5, SharedProjections: true})
+	emb, err := NewEmbedding(g, nil, Config{K: 200, Seed: 5, SharedProjections: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dyngraph/internal/graph"
+	"dyngraph/internal/solver"
 )
 
 // incCfg is the incremental-path test configuration: shared
@@ -13,6 +14,14 @@ import (
 // edit budget is 3.
 func incCfg() Config {
 	return Config{K: 12, Seed: 9, SharedProjections: true, IncrementalUpdates: true}
+}
+
+// warmCfg is cfg with the incremental path off: the warm-PCG reference
+// the incremental builds are checked against. Reuse across the two is
+// allowed, since the embedding fingerprint ignores the path knobs.
+func warmCfg(cfg Config) Config {
+	cfg.IncrementalUpdates = false
+	return cfg
 }
 
 // reweightSome returns g with m existing edges reweighted (support
@@ -54,7 +63,7 @@ func TestIncrementalReweightAgreesWithWarmAndCold(t *testing.T) {
 	g1 := reweightSome(rng, g0, 2)
 	cfg := incCfg()
 
-	prev, err := NewEmbeddingIncremental(g0, nil, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +74,7 @@ func TestIncrementalReweightAgreesWithWarmAndCold(t *testing.T) {
 		t.Fatal("IncrementalUpdates build did not retain its RHS block")
 	}
 
-	inc, err := NewEmbeddingIncremental(g1, prev, cfg)
+	inc, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +89,14 @@ func TestIncrementalReweightAgreesWithWarmAndCold(t *testing.T) {
 		t.Fatal("incremental build must report Warm")
 	}
 
-	warm, err := NewEmbeddingFrom(g1, prev, cfg)
+	warm, err := NewEmbedding(g1, prev, warmCfg(cfg), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewEmbedding(g1, cfg)
+	if warm.Stats().Mode != "warm" {
+		t.Fatalf("warm reference took mode %q", warm.Stats().Mode)
+	}
+	cold, err := NewEmbedding(g1, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,18 +139,18 @@ func TestIncrementalInsertDeleteWithinComponent(t *testing.T) {
 		}
 	}
 	cfg := incCfg()
-	prev, err := NewEmbeddingIncremental(g0, nil, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewEmbeddingIncremental(g1, prev, cfg)
+	inc, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inc.Stats().Mode != "incremental" {
 		t.Fatalf("component-preserving insert+delete mode = %q, want incremental", inc.Stats().Mode)
 	}
-	cold, err := NewEmbedding(g1, cfg)
+	cold, err := NewEmbedding(g1, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +163,11 @@ func TestIncrementalBudgetFallsBackToWarm(t *testing.T) {
 	g0 := benchGraph(400)
 	g1 := reweightSome(rng, g0, 10) // budget is k/4 = 3
 	cfg := incCfg()
-	prev, err := NewEmbeddingIncremental(g0, nil, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emb, err := NewEmbeddingIncremental(g1, prev, cfg)
+	emb, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +176,7 @@ func TestIncrementalBudgetFallsBackToWarm(t *testing.T) {
 	}
 	// And a raised budget accepts the same edit.
 	cfg.IncrementalMaxEdits = 16
-	emb2, err := NewEmbeddingIncremental(g1, prev, cfg)
+	emb2, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,18 +211,18 @@ func TestIncrementalComponentSplitFallsBack(t *testing.T) {
 	g1 := b.MustBuild() // two components
 
 	cfg := incCfg()
-	prev, err := NewEmbeddingIncremental(g0, nil, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emb, err := NewEmbeddingIncremental(g1, prev, cfg)
+	emb, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := emb.Stats(); st.Mode != "warm" {
 		t.Fatalf("bridge deletion took mode %q, want warm fallback", st.Mode)
 	}
-	cold, err := NewEmbedding(g1, cfg)
+	cold, err := NewEmbedding(g1, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +230,11 @@ func TestIncrementalComponentSplitFallsBack(t *testing.T) {
 
 	// The reverse edit — re-inserting the bridge merges two components —
 	// must equally fall back.
-	prev2, err := NewEmbeddingIncremental(g1, nil, cfg)
+	prev2, err := NewEmbedding(g1, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := NewEmbeddingIncremental(g0, prev2, cfg)
+	merged, err := NewEmbedding(g0, prev2, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +249,11 @@ func TestIncrementalComponentSplitFallsBack(t *testing.T) {
 func TestIncrementalUnchangedGraphBitIdentical(t *testing.T) {
 	g := benchGraph(300)
 	cfg := incCfg()
-	prev, err := NewEmbeddingIncremental(g, nil, cfg)
+	prev, err := NewEmbedding(g, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emb, err := NewEmbeddingIncremental(g, prev, cfg)
+	emb, err := NewEmbedding(g, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,21 +280,21 @@ func TestIncrementalVerifySkipIsBitIdentical(t *testing.T) {
 	g := benchGraph(400)
 	cfg := incCfg()
 	cfg.Solver.Tol = 1e-5
-	prev, err := NewEmbeddingIncremental(g, nil, cfg)
+	prev, err := NewEmbedding(g, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	skipped := 0
 	for push := 0; push < 30; push++ {
 		g = reweightSome(rng, g, 1)
-		emb, err := NewEmbeddingIncremental(g, prev, cfg)
+		emb, err := NewEmbedding(g, prev, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st := emb.Stats(); st.Mode == "incremental" && st.VerifySkipped {
 			skipped++
 			zc := append([]float64(nil), emb.z...)
-			stats, err := emb.lap.SolveBlockFrom(zc, emb.y, emb.k, 1)
+			stats, err := emb.lap.SolveBlock(zc, emb.y, emb.k, solver.Solve{Warm: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,17 +323,17 @@ func TestIncrementalWorkersInvariant(t *testing.T) {
 	g0 := benchGraph(300)
 	g1 := reweightSome(rng, g0, 2)
 	cfg := incCfg()
-	prev, err := NewEmbeddingIncremental(g0, nil, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := NewEmbeddingIncremental(g1, prev, cfg)
+	seq, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgPar := cfg
 	cfgPar.Workers = 4
-	par, err := NewEmbeddingIncremental(g1, prev, cfgPar)
+	par, err := NewEmbedding(g1, prev, cfgPar, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +355,11 @@ func TestIncrementalFuzzAgainstWarmAndCold(t *testing.T) {
 	g := benchGraph(300)
 	cfg := incCfg()
 
-	incChain, err := NewEmbeddingIncremental(g, nil, cfg)
+	incChain, err := NewEmbedding(g, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmChain, err := NewEmbeddingFrom(g, nil, cfg)
+	warmChain, err := NewEmbedding(g, nil, warmCfg(cfg), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,16 +367,16 @@ func TestIncrementalFuzzAgainstWarmAndCold(t *testing.T) {
 	const steps = 12
 	for step := 0; step < steps; step++ {
 		g = editGraph(rng, g, 1+rng.Intn(3))
-		incChain, err = NewEmbeddingIncremental(g, incChain, cfg)
+		incChain, err = NewEmbedding(g, incChain, cfg, nil)
 		if err != nil {
 			t.Fatalf("step %d incremental: %v", step, err)
 		}
 		modes[incChain.Stats().Mode]++
-		warmChain, err = NewEmbeddingFrom(g, warmChain, cfg)
+		warmChain, err = NewEmbedding(g, warmChain, warmCfg(cfg), nil)
 		if err != nil {
 			t.Fatalf("step %d warm: %v", step, err)
 		}
-		cold, err := NewEmbedding(g, cfg)
+		cold, err := NewEmbedding(g, nil, cfg, nil)
 		if err != nil {
 			t.Fatalf("step %d cold: %v", step, err)
 		}
@@ -398,14 +410,14 @@ func TestIncrementalSparsifiesDenseSnapshots(t *testing.T) {
 
 	cfg := incCfg()
 	cfg.SparsifyTargetNNZ = g0.NumEdges() // ≈ half the 2m stored entries
-	prev, err := NewEmbeddingIncremental(g0, nil, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if prev.Stats().SparsifiedEdges != 0 {
 		t.Fatalf("first build sparsified %d edges, want 0", prev.Stats().SparsifiedEdges)
 	}
-	emb, err := NewEmbeddingIncremental(g1, prev, cfg)
+	emb, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +431,7 @@ func TestIncrementalSparsifiesDenseSnapshots(t *testing.T) {
 	// The sparsifier approximates the graph spectrally; distances stay
 	// in the right ballpark (loose statistical bound, deterministic
 	// seeds).
-	full, err := NewEmbedding(g1, cfg)
+	full, err := NewEmbedding(g1, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

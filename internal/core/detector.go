@@ -27,6 +27,21 @@ type Config struct {
 	COMAllPairs *bool
 }
 
+// instanceCommute returns the commute configuration for instance t.
+// Without SharedProjections each instance draws its own projections,
+// seeded from the configured seed — the paper's independent-projections
+// setup, reproducible from one seed. Under SharedProjections the seed is
+// deliberately shared across instances (common random numbers), so
+// consecutive embeddings can warm-start each other and the batch run
+// scores the same systems the streaming path solves.
+func (c Config) instanceCommute(t int) commute.Config {
+	cfg := c.Commute
+	if !cfg.SharedProjections {
+		cfg.Seed = cfg.Seed*1000003 + int64(t)
+	}
+	return cfg
+}
+
 func (c Config) comAllPairs(n int) bool {
 	if c.COMAllPairs != nil {
 		return *c.COMAllPairs
@@ -102,19 +117,9 @@ func (d *Detector) RunDetailed(seq *graph.Sequence) ([]Transition, []commute.Ora
 			workers = 1
 		}
 		buildOracle := func(t int) error {
-			cfg := d.cfg.Commute
-			// Decorrelate projections across instances while keeping
-			// the whole run reproducible from the one configured seed —
-			// the paper's independent-projections setup. Under
-			// SharedProjections one seed is deliberately shared across
-			// instances (common random numbers), so the batch run
-			// scores the same systems the warm streaming path solves.
-			if !cfg.SharedProjections {
-				cfg.Seed = cfg.Seed*1000003 + int64(t)
-			}
 			root := d.tracer.Start("oracle")
 			root.SetInt("t", int64(t))
-			o, err := commute.NewTraced(seq.At(t), cfg, d.cfg.ExactCutoff, root)
+			o, err := commute.New(seq.At(t), nil, d.cfg.instanceCommute(t), d.cfg.ExactCutoff, root)
 			root.End()
 			if err != nil {
 				return fmt.Errorf("core: oracle for instance %d: %w", t, err)

@@ -154,14 +154,7 @@ func (o *OnlineDetector) SetTracer(tr *obs.Tracer) { o.tracer = tr }
 // returns the build's stats (also tracking the stream's cold per-row
 // PCG cost for later warm-saving estimates).
 func (o *OnlineDetector) buildOracle(g *graph.Graph, t int, prev commute.Oracle, sp *obs.Span) (commute.Oracle, OracleStats, error) {
-	cfg := o.cfg.Commute
-	// Decorrelate projections across instances (the paper's setup) —
-	// unless projections are deliberately shared so that consecutive
-	// embeddings can warm-start each other.
-	if !cfg.SharedProjections {
-		cfg.Seed = cfg.Seed*1000003 + int64(t)
-	}
-	oracle, err := commute.NewIncrementalFromTraced(g, prev, cfg, o.cfg.ExactCutoff, sp)
+	oracle, err := commute.New(g, prev, o.cfg.instanceCommute(t), o.cfg.ExactCutoff, sp)
 	if err != nil {
 		return nil, OracleStats{}, err
 	}

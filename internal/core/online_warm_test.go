@@ -130,7 +130,10 @@ func TestOnlineDefaultConfigStaysCold(t *testing.T) {
 
 // The cold-baseline estimate must track real cold costs: on cold builds
 // it equals the measured iterations, on warm builds it extrapolates
-// from the last cold build's per-row cost.
+// from the last cold build's per-row cost. And every built oracle names
+// its mode — cold, warm, exact, and a restored detector's first build
+// (TestOnlineIncrementalMatchesWarmReport pins incremental) — while a
+// restored detector reports nothing built until it builds.
 func TestOnlineOracleStatsColdEstimate(t *testing.T) {
 	seq := multiTransitionSequence(t)
 	o := NewOnline(sharedCfg(), 2)
@@ -158,6 +161,33 @@ func TestOnlineOracleStatsColdEstimate(t *testing.T) {
 	if warm.PCGIterations >= warm.ColdEstimateIterations {
 		t.Errorf("warm build used %d iterations vs estimated cold %d — no saving on a small edit",
 			warm.PCGIterations, warm.ColdEstimateIterations)
+	}
+	if cold.Mode != "cold" || warm.Mode != "warm" {
+		t.Fatalf("build modes %q, %q, want cold, warm", cold.Mode, warm.Mode)
+	}
+
+	exact := NewOnline(Config{}, 2) // n=10 is below the exact cutoff
+	if _, err := exact.Push(seq.At(0)); err != nil {
+		t.Fatal(err)
+	}
+	if st := exact.LastOracleStats(); !st.Built || st.Mode != "exact" {
+		t.Fatalf("exact build stats %+v, want mode exact", st)
+	}
+
+	// The restored detector rebuilds the previous oracle cold, then
+	// warm-starts the new instance's build from it.
+	restored, err := RestoreOnline(sharedCfg(), 2, o.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := restored.LastOracleStats(); st.Built {
+		t.Fatalf("restored detector reports a build before its first push: %+v", st)
+	}
+	if _, err := restored.Push(seq.At(2)); err != nil {
+		t.Fatal(err)
+	}
+	if st := restored.LastOracleStats(); !st.Built || st.Mode != "warm" {
+		t.Fatalf("restored detector's first build stats %+v, want mode warm", st)
 	}
 }
 

@@ -10,10 +10,11 @@ import (
 	"dyngraph/internal/solver"
 )
 
-// BlockConfig shapes the blocked-vs-per-row embedding-build benchmark:
-// the same k commute-embedding solves fused into one SpMM-driven block
-// PCG versus k independent single-RHS solves. Both paths produce
-// bit-identical embeddings, so the grid is a pure cost comparison.
+// BlockConfig shapes the embedding-build benchmark: the k
+// commute-embedding solves fused into one SpMM-driven blocked PCG,
+// built cold and warm. The comparison against k independent per-row
+// solves is BenchmarkEmbeddingBlockedVsPerRow in internal/commute, which
+// runs the test-side per-row reference.
 type BlockConfig struct {
 	// Sizes is the list of vertex counts to sweep (default 2000, 5000).
 	Sizes []int `json:"sizes"`
@@ -53,21 +54,18 @@ func (c BlockConfig) withDefaults() BlockConfig {
 	return c
 }
 
-// BlockCell is one (size, path, mode) measurement, averaged over the
-// timed builds.
+// BlockCell is one (size, mode) measurement, averaged over the timed
+// builds.
 type BlockCell struct {
 	N    int    `json:"n"`
 	M    int    `json:"m"`
-	Path string `json:"path"` // "block" or "perrow"
 	Mode string `json:"mode"` // "cold" or "warm"
 	// NsPerBuild is the mean wall-clock nanoseconds per embedding build.
 	NsPerBuild float64 `json:"ns_per_build"`
-	// PCGIters is the per-build PCG iteration count summed per column —
-	// identical across paths (the recurrences are bit-identical).
+	// PCGIters is the per-build PCG iteration count summed per column.
 	PCGIters float64 `json:"pcg_iters"`
 	// BlockIters is the per-build count of blocked-PCG iterations
-	// (matrix traversals); zero on the per-row path, which traverses
-	// the matrix once per column per iteration instead.
+	// (matrix traversals).
 	BlockIters float64 `json:"block_iters"`
 }
 
@@ -78,9 +76,9 @@ type BlockResult struct {
 	Cells  []BlockCell `json:"results"`
 }
 
-// Block measures the blocked build path against the retained per-row
-// reference path, cold (from scratch) and warm (rebuilt across a few
-// edge reweights from the previous solution block).
+// Block times the blocked build path cold (from scratch) and warm
+// (rebuilt across a few edge reweights from the previous solution
+// block).
 func Block(cfg BlockConfig) (*BlockResult, error) {
 	cfg = cfg.withDefaults()
 	res := &BlockResult{Config: cfg}
@@ -94,109 +92,61 @@ func Block(cfg BlockConfig) (*BlockResult, error) {
 			Solver:            solver.Options{Tol: cfg.Tol},
 			SharedProjections: true, // warm rebuilds need shared projections
 		}
-		type path struct {
-			name  string
-			build func(prev *commute.Embedding) (*commute.Embedding, error)
+		// One untimed cold build warms the allocator and provides the
+		// warm cells' previous solution block.
+		base, err := commute.NewEmbedding(g0, nil, ccfg, nil)
+		if err != nil {
+			return nil, fmt.Errorf("block n=%d: %w", n, err)
 		}
-		for _, p := range []path{
-			{"block", func(prev *commute.Embedding) (*commute.Embedding, error) {
-				if prev == nil {
-					return commute.NewEmbedding(g0, ccfg)
-				}
-				return commute.NewEmbeddingFrom(g1, prev, ccfg)
-			}},
-			{"perrow", func(prev *commute.Embedding) (*commute.Embedding, error) {
-				if prev == nil {
-					return commute.NewEmbeddingPerRowFrom(g0, nil, ccfg)
-				}
-				return commute.NewEmbeddingPerRowFrom(g1, prev, ccfg)
-			}},
-		} {
-			// One untimed cold build warms the allocator and, for the
-			// warm cells, provides the previous solution block.
-			base, err := p.build(nil)
-			if err != nil {
-				return nil, fmt.Errorf("block n=%d %s: %w", n, p.name, err)
+		for _, mode := range []string{"cold", "warm"} {
+			g, prev := g0, (*commute.Embedding)(nil)
+			if mode == "warm" {
+				g, prev = g1, base
 			}
-			for _, mode := range []string{"cold", "warm"} {
-				var iters, blkIters int
-				start := time.Now()
-				for b := 0; b < cfg.Builds; b++ {
-					var emb *commute.Embedding
-					if mode == "cold" {
-						emb, err = p.build(nil)
-					} else {
-						emb, err = p.build(base)
-					}
-					if err != nil {
-						return nil, fmt.Errorf("block n=%d %s %s: %w", n, p.name, mode, err)
-					}
-					st := emb.Stats()
-					iters += st.PCGIterations
-					blkIters += st.BlockIterations
+			var iters, blkIters int
+			start := time.Now()
+			for b := 0; b < cfg.Builds; b++ {
+				emb, err := commute.NewEmbedding(g, prev, ccfg, nil)
+				if err != nil {
+					return nil, fmt.Errorf("block n=%d %s: %w", n, mode, err)
 				}
-				elapsed := time.Since(start)
-				res.Cells = append(res.Cells, BlockCell{
-					N:          n,
-					M:          g0.NumEdges(),
-					Path:       p.name,
-					Mode:       mode,
-					NsPerBuild: float64(elapsed.Nanoseconds()) / float64(cfg.Builds),
-					PCGIters:   float64(iters) / float64(cfg.Builds),
-					BlockIters: float64(blkIters) / float64(cfg.Builds),
-				})
+				st := emb.Stats()
+				iters += st.PCGIterations
+				blkIters += st.BlockIterations
 			}
+			elapsed := time.Since(start)
+			res.Cells = append(res.Cells, BlockCell{
+				N:          n,
+				M:          g0.NumEdges(),
+				Mode:       mode,
+				NsPerBuild: float64(elapsed.Nanoseconds()) / float64(cfg.Builds),
+				PCGIters:   float64(iters) / float64(cfg.Builds),
+				BlockIters: float64(blkIters) / float64(cfg.Builds),
+			})
 		}
 	}
 	return res, nil
 }
 
-// cell finds the (n, path, mode) measurement.
-func (r *BlockResult) cell(n int, path, mode string) *BlockCell {
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if c.N == n && c.Path == path && c.Mode == mode {
-			return c
-		}
-	}
-	return nil
-}
-
-// Table renders the grid with per-size block-vs-per-row speedups.
+// Table renders the grid.
 func (r *BlockResult) Table() *Table {
 	tol := r.Config.Tol
 	if tol == 0 {
 		tol = 1e-8 // the solver default BlockConfig.Tol zero selects
 	}
 	t := &Table{
-		Title: fmt.Sprintf("embedding build: blocked multi-RHS PCG vs per-row solves (k=%d, tol=%g)",
-			r.Config.K, tol),
-		Header: []string{"n", "m", "path", "mode", "ms/build", "pcg-iters", "block-iters", "speedup"},
+		Title:  fmt.Sprintf("embedding build: blocked multi-RHS PCG (k=%d, tol=%g)", r.Config.K, tol),
+		Header: []string{"n", "m", "mode", "ms/build", "pcg-iters", "block-iters"},
 	}
-	for _, n := range r.Config.Sizes {
-		for _, mode := range []string{"cold", "warm"} {
-			ref := r.cell(n, "perrow", mode)
-			for _, path := range []string{"block", "perrow"} {
-				c := r.cell(n, path, mode)
-				if c == nil {
-					continue
-				}
-				speedup := "—"
-				if path == "block" && ref != nil && c.NsPerBuild > 0 {
-					speedup = fmt.Sprintf("%.2f×", ref.NsPerBuild/c.NsPerBuild)
-				}
-				t.Rows = append(t.Rows, []string{
-					fmt.Sprintf("%d", c.N),
-					fmt.Sprintf("%d", c.M),
-					c.Path,
-					c.Mode,
-					fmt.Sprintf("%.2f", c.NsPerBuild/1e6),
-					fmt.Sprintf("%.1f", c.PCGIters),
-					fmt.Sprintf("%.1f", c.BlockIters),
-					speedup,
-				})
-			}
-		}
+	for _, c := range r.Cells {
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%d", c.N),
+			fmt.Sprintf("%d", c.M),
+			c.Mode,
+			fmt.Sprintf("%.2f", c.NsPerBuild/1e6),
+			fmt.Sprintf("%.1f", c.PCGIters),
+			fmt.Sprintf("%.1f", c.BlockIters),
+		})
 	}
 	return t
 }

@@ -117,11 +117,11 @@ func timeMethod(method string, seq *graph.Sequence, cfg ScaleConfig, trial int) 
 		}
 		// Always use the embedding here: the experiment is about the
 		// O(n log n) large-graph path.
-		o0, err := commute.NewEmbedding(g0, commute.Config{K: cfg.K, Seed: seed})
+		o0, err := commute.NewEmbedding(g0, nil, commute.Config{K: cfg.K, Seed: seed}, nil)
 		if err != nil {
 			return 0, err
 		}
-		o1, err := commute.NewEmbedding(g1, commute.Config{K: cfg.K, Seed: seed + 1})
+		o1, err := commute.NewEmbedding(g1, nil, commute.Config{K: cfg.K, Seed: seed + 1}, nil)
 		if err != nil {
 			return 0, err
 		}

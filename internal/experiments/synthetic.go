@@ -67,11 +67,11 @@ func allNodeScores(inst *datagen.GMMInstance, cfg SyntheticConfig, trial int) (m
 	g0, g1 := inst.Seq.At(0), inst.Seq.At(1)
 
 	workers := runtime.NumCPU()
-	o0, err := commute.New(g0, commute.Config{K: cfg.K, Seed: seed, Workers: workers}, cfg.ExactCutoff)
+	o0, err := commute.New(g0, nil, commute.Config{K: cfg.K, Seed: seed, Workers: workers}, cfg.ExactCutoff, nil)
 	if err != nil {
 		return nil, fmt.Errorf("oracle t=0: %w", err)
 	}
-	o1, err := commute.New(g1, commute.Config{K: cfg.K, Seed: seed + 1, Workers: workers}, cfg.ExactCutoff)
+	o1, err := commute.New(g1, nil, commute.Config{K: cfg.K, Seed: seed + 1, Workers: workers}, cfg.ExactCutoff, nil)
 	if err != nil {
 		return nil, fmt.Errorf("oracle t=1: %w", err)
 	}

@@ -52,11 +52,11 @@ func Fig6Verbatim(cfg SyntheticConfig) (*VerbatimResult, error) {
 		}
 		g0, g1 := inst.Seq.At(0), inst.Seq.At(1)
 		workers := runtime.NumCPU()
-		o0, err := commute.New(g0, commute.Config{K: cfg.K, Seed: cfg.Seed + int64(trial), Workers: workers}, cfg.ExactCutoff)
+		o0, err := commute.New(g0, nil, commute.Config{K: cfg.K, Seed: cfg.Seed + int64(trial), Workers: workers}, cfg.ExactCutoff, nil)
 		if err != nil {
 			return nil, fmt.Errorf("verbatim trial %d: %w", trial, err)
 		}
-		o1, err := commute.New(g1, commute.Config{K: cfg.K, Seed: cfg.Seed + int64(trial) + 1, Workers: workers}, cfg.ExactCutoff)
+		o1, err := commute.New(g1, nil, commute.Config{K: cfg.K, Seed: cfg.Seed + int64(trial) + 1, Workers: workers}, cfg.ExactCutoff, nil)
 		if err != nil {
 			return nil, fmt.Errorf("verbatim trial %d: %w", trial, err)
 		}

@@ -9,6 +9,7 @@ import (
 
 	"sync"
 
+	"dyngraph/internal/commute"
 	"dyngraph/internal/core"
 	"dyngraph/internal/graph"
 	"dyngraph/internal/obs"
@@ -169,11 +170,7 @@ func (s *stream) resolveOracle(n int) {
 	if s.oracle != "unsized" {
 		return
 	}
-	cutoff := s.cfg.ExactCutoff
-	if cutoff <= 0 {
-		cutoff = 400 // commute.New's documented default
-	}
-	if n <= cutoff {
+	if commute.UseExact(n, s.cfg.ExactCutoff) {
 		s.oracle = "exact"
 	} else {
 		s.oracle = "embedding"
@@ -315,16 +312,7 @@ func (s *stream) run() {
 			s.logger.Error("push failed", "instance", j.instance, "request_id", j.pc.requestID, "err", err)
 		}
 		if ost.Built {
-			mode := ost.Mode
-			if mode == "" {
-				// Older detector states may predate the mode field;
-				// reconstruct the coarse warm/cold split.
-				mode = "cold"
-				if ost.Warm {
-					mode = "warm"
-				}
-			}
-			s.metrics.add("cadd_oracle_builds_total", labels("stream", s.id, "mode", mode), 1)
+			s.metrics.add("cadd_oracle_builds_total", labels("stream", s.id, "mode", ost.Mode), 1)
 			if ost.Kind == "embedding" {
 				// The cold-estimate counter accumulates what the same
 				// stream would have cost without warm starts, so

@@ -68,11 +68,11 @@ func uniformRandomGraph(rng *rand.Rand, n int) *graph.Graph {
 func benchSolve(b *testing.B, g *graph.Graph, prec Precond) {
 	rng := rand.New(rand.NewSource(99))
 	rhs := projectedRHS(rng, g.N())
-	s := NewLaplacian(g, Options{Precond: prec, MaxIter: 5000000})
+	s := New(g, Options{Precond: prec, MaxIter: 5000000}, Build{})
 	b.ResetTimer()
 	var iters int
 	for i := 0; i < b.N; i++ {
-		_, st, err := s.Solve(rhs)
+		_, st, err := solveVec(s, rhs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func BenchmarkLaplacianSetup(b *testing.B) {
 	for _, prec := range []Precond{PrecondTree, PrecondJacobi} {
 		b.Run(prec.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = NewLaplacian(g, Options{Precond: prec})
+				_ = New(g, Options{Precond: prec}, Build{})
 			}
 		})
 	}

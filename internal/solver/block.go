@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"dyngraph/internal/obs"
 	"dyngraph/internal/sparse"
 )
 
@@ -14,7 +15,7 @@ import (
 // the CSR arrays stream through the cache hierarchy once per block
 // iteration instead of once per column per iteration. The recurrences
 // stay mathematically — and, by construction of the sparse block
-// kernels, bit-for-bit — identical to k sequential SolveInto calls:
+// kernels, bit-for-bit — identical to k sequential single-RHS solves:
 // each column carries its own alpha/beta/residual, converges on its
 // own schedule, and is deactivated (masked out of every kernel) the
 // moment it reaches tolerance, so stragglers don't pay for finished
@@ -81,35 +82,68 @@ func (s *Laplacian) adoptBlockScratch(prev *Laplacian) {
 	s.blk = bs
 }
 
-// SolveBlock solves the k systems L·X[:,c] = B[:,c] simultaneously,
-// where x and b are row-major n×k blocks (entry (i, c) at x[i*k+c] —
-// the commute embedding's storage layout). The minimum-norm solution
-// of every column is written into x (incoming contents ignored) and
-// per-column Stats are returned. workers > 1 shards the SpMM rows
-// across that many goroutines; the result is identical for any value.
-//
-// Column c of the result is bit-identical to SolveInto on column c
-// alone. If any column fails to converge the other columns are still
-// solved and the error wraps ErrNoConvergence; per-column residuals
-// identify the stragglers.
-func (s *Laplacian) SolveBlock(x, b []float64, k, workers int) ([]Stats, error) {
-	return s.solveBlock(x, b, k, workers, false)
+// Solve carries the per-call parameters of SolveBlock. The zero value
+// is a cold, serial, untraced solve at the solver's configured
+// tolerance.
+type Solve struct {
+	// Warm takes x's incoming columns as the initial guesses (e.g. the
+	// previous snapshot's solution block); the solutions overwrite
+	// them. A column whose guess is already within tolerance is
+	// returned bit-for-bit unchanged with zero iterations — the property
+	// that makes rebuilding an embedding of an unchanged snapshot free
+	// and exactly reproducible. Otherwise x's contents are ignored.
+	Warm bool
+	// Tol, when positive, overrides Options.Tol for this call only.
+	// The incremental embedding path polishes its verification solves
+	// below the serving tolerance with it; IncidenceSolves runs at √tol.
+	Tol float64
+	// Workers > 1 shards the SpMM rows across that many goroutines; the
+	// result is identical for any value.
+	Workers int
+	// Span is the parent of the "pcg" span carrying the warm/cold mode
+	// and the iteration counts; nil disables it.
+	Span *obs.Span
 }
 
-// SolveBlockFrom is SolveBlock warm-started: x's incoming columns are
-// the initial guesses (e.g. the previous snapshot's solution block)
-// and the solutions overwrite them. A column whose guess is already
-// within tolerance is returned bit-for-bit unchanged with zero
-// iterations, exactly like SolveFromInto.
-func (s *Laplacian) SolveBlockFrom(x, b []float64, k, workers int) ([]Stats, error) {
-	return s.solveBlock(x, b, k, workers, true)
+// SolveBlock solves the k systems L·X[:,c] = B[:,c] simultaneously,
+// where x and b are row-major n×k blocks (entry (i, c) at x[i*k+c] —
+// the commute embedding's storage layout; at k = 1 a plain vector).
+// Each right-hand side is first projected onto the range of L
+// (per-component mean removal), the minimum-norm solution of every
+// column is written into x, and per-column Stats are returned.
+//
+// Column c of the result is bit-identical to solving column c alone. If
+// any column fails to converge the other columns are still solved, the
+// best iterate is kept, and the error wraps ErrNoConvergence; per-column
+// residuals identify the stragglers.
+func (s *Laplacian) SolveBlock(x, b []float64, k int, p Solve) ([]Stats, error) {
+	sp := p.Span.StartChild(SolveSpanName)
+	tol := s.opt.tol()
+	if p.Tol > 0 {
+		tol = p.Tol
+	}
+	var stats []Stats
+	var err error
+	if k == 1 {
+		// The single-RHS loop has far less per-nonzero overhead than
+		// the blocked kernel at width 1, with bit-identical results;
+		// the rank-1 incidence solve is the streaming hot path.
+		var st Stats
+		st, err = s.solve(x, b, p.Warm, tol)
+		stats = []Stats{st}
+	} else {
+		stats, err = s.solveBlock(x, b, k, p.Workers, p.Warm, tol)
+	}
+	annotateSolve(sp, stats, k, p.Warm, err)
+	sp.End()
+	return stats, err
 }
 
 // solveBlock is the blocked PCG loop. Every kernel call performs, per
 // column, the same floating-point operations in the same order as the
 // single-RHS loop in solve — the bit-equality contract the equivalence
 // tests in block_test.go pin down.
-func (s *Laplacian) solveBlock(x, b []float64, k, workers int, warm bool) ([]Stats, error) {
+func (s *Laplacian) solveBlock(x, b []float64, k, workers int, warm bool, tol float64) ([]Stats, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("solver: SolveBlock non-positive block width %d", k)
 	}
@@ -125,7 +159,6 @@ func (s *Laplacian) solveBlock(x, b []float64, k, workers int, warm bool) ([]Sta
 	beta := bs.colv[4*kk : 4*kk+k]
 	res := bs.colv[5*kk : 5*kk+k]
 	stats := make([]Stats, k)
-	tol := s.opt.tol()
 	maxIter := s.opt.maxIter(s.n)
 
 	// Block scratch is allocated with stride bs.k; when k < bs.k the
@@ -157,7 +190,7 @@ func (s *Laplacian) solveBlock(x, b []float64, k, workers int, warm bool) ([]Sta
 	if warm {
 		// r = P b − L x0 per column, then the converged-guess early
 		// exit: a column already within tolerance is left bit-for-bit
-		// untouched (see SolveFromInto).
+		// untouched (see Solve.Warm).
 		if len(active) > 0 {
 			s.spmm(q, x, k, activeOrNil(active, k), workers)
 			for _, c := range active {

@@ -27,11 +27,13 @@ func column(x []float64, k, c int) []float64 {
 	return out
 }
 
-// SolveBlock must agree with k sequential SolveInto calls — not just
+// SolveBlock must agree with k sequential width-1 solves — not just
 // within tolerance but bit-for-bit, because the block kernels perform
 // the same per-column arithmetic in the same order. The property test
 // sweeps random graphs (including disconnected ones), both
-// preconditioners, plain CG, and every workers value.
+// preconditioners, plain CG, and every workers value. Width 1 runs the
+// single-RHS loop, so each column is also solved by the blocked kernel
+// at width 1, which must return the same bits and Stats.
 func TestSolveBlockMatchesSequentialBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 25; trial++ {
@@ -50,23 +52,34 @@ func TestSolveBlockMatchesSequentialBitwise(t *testing.T) {
 		}
 		b := blockOf(cols)
 
-		seq := NewLaplacian(g, opt)
+		seq := New(g, opt, Build{})
 		want := make([][]float64, k)
 		wantStats := make([]Stats, k)
 		var wantErr bool
 		for c := range cols {
 			x := make([]float64, n)
-			st, err := seq.SolveInto(x, cols[c])
-			want[c], wantStats[c] = x, st
+			st, err := seq.SolveBlock(x, cols[c], 1, Solve{})
+			want[c], wantStats[c] = x, st[0]
 			if err != nil {
 				wantErr = true
 			}
+			x1 := make([]float64, n)
+			st1, err1 := seq.solveBlock(x1, cols[c], 1, 1, false, opt.tol())
+			if (err1 != nil) != (err != nil) || st1[0] != st[0] {
+				t.Fatalf("trial %d (%s) col %d: width-1 kernel stats %+v err %v, single-RHS loop %+v err %v",
+					trial, precond, c, st1[0], err1, st[0], err)
+			}
+			for i := range x1 {
+				if x1[i] != x[i] {
+					t.Fatalf("trial %d (%s) col %d row %d: width-1 kernel %g, single-RHS loop %g", trial, precond, c, i, x1[i], x[i])
+				}
+			}
 		}
 
-		blk := NewLaplacian(g, opt)
+		blk := New(g, opt, Build{})
 		x := make([]float64, n*k)
 		workers := 1 + rng.Intn(4)
-		stats, err := blk.SolveBlock(x, b, k, workers)
+		stats, err := blk.SolveBlock(x, b, k, Solve{Workers: workers})
 		if (err != nil) != wantErr {
 			t.Fatalf("trial %d: block err %v, sequential err %v", trial, err, wantErr)
 		}
@@ -88,9 +101,10 @@ func TestSolveBlockMatchesSequentialBitwise(t *testing.T) {
 	}
 }
 
-// Warm-started block solves must match k sequential SolveFromInto
-// calls bit-for-bit, including the converged-guess early exit that
-// returns a column untouched with zero iterations.
+// Warm-started block solves must match k sequential warm width-1
+// solves bit-for-bit, including the converged-guess early exit that
+// returns a column untouched with zero iterations; and, as cold, the
+// blocked kernel at width 1 must match the single-RHS loop.
 func TestSolveBlockFromMatchesSequentialBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 20; trial++ {
@@ -98,39 +112,53 @@ func TestSolveBlockFromMatchesSequentialBitwise(t *testing.T) {
 		g0 := randomConnectedGraph(rng, n)
 		g1 := perturbGraph(rng, g0, 3)
 		k := 2 + rng.Intn(5)
-		opt := Options{}
+		precond := []Precond{PrecondTree, PrecondJacobi, PrecondNone}[trial%3]
+		opt := Options{Precond: precond}
 
 		// Previous-snapshot solutions as guesses; column 0 keeps the
 		// old graph's solution against the *old* graph when the edit
 		// left it converged, exercising the early exit.
-		prev := NewLaplacian(g0, opt)
+		prev := New(g0, opt, Build{})
 		cols := make([][]float64, k)
 		guesses := make([][]float64, k)
 		for c := range cols {
 			cols[c] = projectedRHS(rng, n)
-			x, _, err := prev.Solve(cols[c])
+			x, _, err := solveVec(prev, cols[c])
 			if err != nil {
 				t.Fatal(err)
 			}
 			guesses[c] = x
 		}
 
-		seq := NewLaplacian(g1, opt)
+		seq := New(g1, opt, Build{})
 		want := make([][]float64, k)
 		wantStats := make([]Stats, k)
 		for c := range cols {
 			x := append([]float64(nil), guesses[c]...)
-			st, err := seq.SolveFromInto(x, cols[c])
+			st, err := seq.SolveBlock(x, cols[c], 1, Solve{Warm: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[c], wantStats[c] = x, st
+			want[c], wantStats[c] = x, st[0]
+			x1 := append([]float64(nil), guesses[c]...)
+			st1, err := seq.solveBlock(x1, cols[c], 1, 1, true, opt.tol())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st1[0] != st[0] {
+				t.Fatalf("trial %d (%s) col %d: width-1 kernel stats %+v, single-RHS loop %+v", trial, precond, c, st1[0], st[0])
+			}
+			for i := range x1 {
+				if x1[i] != x[i] {
+					t.Fatalf("trial %d (%s) col %d row %d: width-1 kernel %g, single-RHS loop %g", trial, precond, c, i, x1[i], x[i])
+				}
+			}
 		}
 
-		blk := NewLaplacian(g1, opt)
+		blk := New(g1, opt, Build{})
 		x := blockOf(guesses)
 		b := blockOf(cols)
-		stats, err := blk.SolveBlockFrom(x, b, k, 1+rng.Intn(3))
+		stats, err := blk.SolveBlock(x, b, k, Solve{Warm: true, Workers: 1 + rng.Intn(3)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,12 +182,12 @@ func TestSolveBlockFromConvergedBlockIsFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	n, k := 50, 5
 	g := randomConnectedGraph(rng, n)
-	s := NewLaplacian(g, Options{})
+	s := New(g, Options{}, Build{})
 	cols := make([][]float64, k)
 	sols := make([][]float64, k)
 	for c := range cols {
 		cols[c] = projectedRHS(rng, n)
-		x, _, err := s.Solve(cols[c])
+		x, _, err := solveVec(s, cols[c])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +195,7 @@ func TestSolveBlockFromConvergedBlockIsFree(t *testing.T) {
 	}
 	x := blockOf(sols)
 	saved := append([]float64(nil), x...)
-	stats, err := s.SolveBlockFrom(x, blockOf(cols), k, 2)
+	stats, err := s.SolveBlock(x, blockOf(cols), k, Solve{Warm: true, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +217,13 @@ func TestSolveBlockZeroColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	n, k := 40, 3
 	g := randomConnectedGraph(rng, n)
-	s := NewLaplacian(g, Options{})
+	s := New(g, Options{}, Build{})
 	cols := [][]float64{projectedRHS(rng, n), make([]float64, n), projectedRHS(rng, n)}
 	x := make([]float64, n*k)
 	for i := range x {
 		x[i] = rng.NormFloat64() // garbage that must be overwritten
 	}
-	stats, err := s.SolveBlock(x, blockOf(cols), k, 1)
+	stats, err := s.SolveBlock(x, blockOf(cols), k, Solve{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,31 +236,70 @@ func TestSolveBlockZeroColumn(t *testing.T) {
 		}
 	}
 	for _, c := range []int{0, 2} {
-		if r := s.Residual(column(x, k, c), cols[c]); r > 1e-6 {
+		if r := residual(s, column(x, k, c), cols[c]); r > 1e-6 {
 			t.Fatalf("col %d residual %g", c, r)
 		}
 	}
 }
 
 // Reusing one solver for different block widths must not cross-feed
-// scratch state between calls.
+// scratch state between calls, and per-call parameters must leave the
+// solver unchanged: after a Tol-override solve and IncidenceSolves
+// (which runs at √tol), a default solve is bit-identical to one on a
+// freshly built solver.
 func TestSolveBlockScratchReuseAcrossWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	n := 45
 	g := randomConnectedGraph(rng, n)
-	s := NewLaplacian(g, Options{})
+	s := New(g, Options{}, Build{})
 	for _, k := range []int{6, 2, 4, 1} {
 		cols := make([][]float64, k)
 		for c := range cols {
 			cols[c] = projectedRHS(rng, n)
 		}
 		x := make([]float64, n*k)
-		if _, err := s.SolveBlock(x, blockOf(cols), k, 1); err != nil {
+		if _, err := s.SolveBlock(x, blockOf(cols), k, Solve{}); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		for c := range cols {
-			if r := s.Residual(column(x, k, c), cols[c]); r > 1e-6 {
+			if r := residual(s, column(x, k, c), cols[c]); r > 1e-6 {
 				t.Fatalf("k=%d col %d residual %g", k, c, r)
+			}
+		}
+	}
+
+	e := g.Edges()[0]
+	for _, k := range []int{1, 3} {
+		cols := make([][]float64, k)
+		for c := range cols {
+			cols[c] = projectedRHS(rng, n)
+		}
+		b := blockOf(cols)
+		loose := make([]float64, n*k)
+		if _, err := s.SolveBlock(loose, b, k, Solve{Tol: 1e-3}); err != nil {
+			t.Fatalf("k=%d Tol override: %v", k, err)
+		}
+		if _, _, err := s.IncidenceSolves([]EdgeUpdate{{I: e.I, J: e.J, DeltaW: 1}}, 1); err != nil {
+			t.Fatalf("k=%d IncidenceSolves: %v", k, err)
+		}
+		got := make([]float64, n*k)
+		gotStats, err := s.SolveBlock(got, b, k, Solve{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, n*k)
+		wantStats, err := New(g, Options{}, Build{}).SolveBlock(want, b, k, Solve{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range wantStats {
+			if gotStats[c] != wantStats[c] {
+				t.Fatalf("k=%d col %d: stats after per-call overrides %+v, fresh solver %+v", k, c, gotStats[c], wantStats[c])
+			}
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("k=%d: solve after per-call overrides differs from a fresh solver at %d: %g vs %g", k, i, got[i], want[i])
 			}
 		}
 	}
@@ -242,11 +309,11 @@ func TestSolveBlockScratchReuseAcrossWidths(t *testing.T) {
 func TestSolveBlockDimensionErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	g := randomConnectedGraph(rng, 10)
-	s := NewLaplacian(g, Options{})
-	if _, err := s.SolveBlock(make([]float64, 10), make([]float64, 10), 0, 1); err == nil {
+	s := New(g, Options{}, Build{})
+	if _, err := s.SolveBlock(make([]float64, 10), make([]float64, 10), 0, Solve{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := s.SolveBlock(make([]float64, 10), make([]float64, 20), 2, 1); err == nil {
+	if _, err := s.SolveBlock(make([]float64, 10), make([]float64, 20), 2, Solve{}); err == nil {
 		t.Fatal("short x accepted")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"dyngraph/internal/graph"
+	"dyngraph/internal/obs"
 	"dyngraph/internal/sparse"
 )
 
@@ -108,9 +109,9 @@ var ErrNoConvergence = errors.New("solver: PCG did not converge")
 
 // Laplacian is a reusable solver for systems in one graph's Laplacian.
 // Building it once amortizes preconditioner setup across the k solves
-// performed by the commute-time embedding. It is safe for concurrent
-// Solve calls only if each goroutine uses its own Laplacian value;
-// Solve reuses internal scratch buffers.
+// performed by the commute-time embedding. Its options are fixed at
+// New; per-call parameters travel in Solve. It is not safe for
+// concurrent SolveBlock calls: solves reuse internal scratch buffers.
 type Laplacian struct {
 	n    int
 	l    *sparse.CSR
@@ -125,7 +126,7 @@ type Laplacian struct {
 
 	opt Options
 
-	// scratch buffers reused across Solve calls
+	// scratch buffers reused across single-vector solves
 	r, z, p, q, s1 []float64
 	csum           []float64 // per-component sums for project
 	tsum           []float64 // per-component means for the tree solve
@@ -147,41 +148,28 @@ func resolvePrecond(g *graph.Graph, opt Options) Precond {
 	return precond
 }
 
-// NewLaplacian prepares a solver for the Laplacian of g.
-func NewLaplacian(g *graph.Graph, opt Options) *Laplacian {
-	n := g.N()
-	comp, ncomp := g.Components()
-	size := make([]int, ncomp)
-	for _, c := range comp {
-		size[c]++
-	}
-	precond := resolvePrecond(g, opt)
-	s := &Laplacian{
-		n:       n,
-		l:       g.Laplacian(),
-		comp:    comp,
-		size:    size,
-		precond: precond,
-		opt:     opt,
-	}
-	switch precond {
-	case PrecondJacobi:
-		s.invDiag = make([]float64, n)
-		for i, d := range g.Degrees() {
-			if d > 0 {
-				s.invDiag[i] = 1 / d
-			}
-		}
-	case PrecondTree:
-		s.tree = maxWeightSpanningTree(g)
-	}
-	s.allocScratch()
-	return s
+// Build carries what New may reuse from the previous snapshot's solver
+// and where it reports the setup. The zero value builds cold and
+// untraced.
+type Build struct {
+	// Prev is the previous snapshot's solver, whose setup New shares or
+	// patches where sound; nil builds cold. Neither Prev nor PrevG is
+	// modified.
+	Prev *Laplacian
+	// PrevG is the graph Prev was built for.
+	PrevG *graph.Graph
+	// Diff is graph.DiffSupport(PrevG, g), required whenever Prev is
+	// set: the streaming caller already diffed the snapshots to pick its
+	// build strategy, so the edit support is walked once per push. Nil
+	// means the graphs are identical (DiffSupport's result for them).
+	Diff []graph.Key
+	// Span is the parent of the "precond" span, whose "mode" attribute
+	// records the reuse path taken; nil disables it.
+	Span *obs.Span
 }
 
-// NewLaplacianFrom prepares a solver for the Laplacian of g, reusing
-// the setup prev built for the previous snapshot prevG (same vertex
-// set) wherever that is sound; neither prev nor prevG is modified.
+// New prepares a solver for the Laplacian of g, reusing the setup of
+// b.Prev (built for b.PrevG, same vertex set) wherever that is sound.
 // Reuse rules:
 //
 //   - If no edge weight changed, the whole setup (matrix, component
@@ -204,56 +192,53 @@ func NewLaplacian(g *graph.Graph, opt Options) *Laplacian {
 //     iterations) but never correctness: any spanning forest of the
 //     graph's components is a valid SPD preconditioner on range(L).
 //
-// Anything else falls back to a cold NewLaplacian build. ReusedPrecond
-// reports which path was taken.
-func NewLaplacianFrom(g, prevG *graph.Graph, prev *Laplacian, opt Options) *Laplacian {
-	if prev == nil || prevG == nil || prev.n != g.N() {
-		return NewLaplacian(g, opt)
-	}
-	if resolvePrecond(g, opt) != prev.precond {
-		return NewLaplacian(g, opt)
-	}
-	diff, err := graph.DiffSupport(prevG, g)
-	if err != nil {
-		// Vertex counts differ (prev.n == g.N() rules this out today,
-		// but keep the reuse path panic-free): build cold.
-		return NewLaplacian(g, opt)
-	}
-	return NewLaplacianFromDiff(g, prevG, prev, diff, opt)
+// Anything else — no Prev, a different vertex count or resolved
+// preconditioner — builds cold. ReusedPrecond reports which path was
+// taken.
+func New(g *graph.Graph, opt Options, b Build) *Laplacian {
+	sp := b.Span.StartChild(PrecondSpanName)
+	s := build(g, opt, b)
+	annotatePrecond(sp, s)
+	sp.End()
+	return s
 }
 
-// NewLaplacianFromDiff is NewLaplacianFrom for callers that already
-// hold DiffSupport(prevG, g) — the streaming incremental path diffs
-// consecutive snapshots to pick its build strategy and threads the
-// result here, so the edit support is walked once per push instead of
-// once per layer. diff must be exactly DiffSupport(prevG, g).
-func NewLaplacianFromDiff(g, prevG *graph.Graph, prev *Laplacian, diff []graph.Key, opt Options) *Laplacian {
-	if prev == nil || prevG == nil || prev.n != g.N() {
-		return NewLaplacian(g, opt)
-	}
+// build is New without the span.
+func build(g *graph.Graph, opt Options, b Build) *Laplacian {
+	prev := b.Prev
 	precond := resolvePrecond(g, opt)
-	if precond != prev.precond {
-		return NewLaplacian(g, opt)
+	if prev == nil || b.PrevG == nil || prev.n != g.N() || precond != prev.precond {
+		return buildCold(g, opt, precond)
 	}
+	diff := b.Diff
 	if len(diff) == 0 {
-		cl := prev.Clone()
-		cl.opt = opt
-		cl.reused = true
-		cl.reuseKind = "shared"
-		cl.adoptBlockScratch(prev)
-		return cl
+		s := &Laplacian{
+			n:         prev.n,
+			l:         prev.l,
+			comp:      prev.comp,
+			size:      prev.size,
+			precond:   precond,
+			invDiag:   prev.invDiag,
+			tree:      prev.tree,
+			reused:    true,
+			reuseKind: "shared",
+			opt:       opt,
+		}
+		s.allocScratch()
+		s.adoptBlockScratch(prev)
+		return s
 	}
-	if supportUnchanged(g, prevG, diff) {
-		if s := prev.patchedVals(g, prevG, diff, opt); s != nil {
+	if supportUnchanged(g, b.PrevG, diff) {
+		if s := prev.patchedVals(g, diff, opt); s != nil {
 			return s
 		}
 	}
 	if precond != PrecondTree {
-		return NewLaplacian(g, opt)
+		return buildCold(g, opt, precond)
 	}
 	tree, ok := prev.tree.patched(g, diff)
 	if !ok {
-		return NewLaplacian(g, opt)
+		return buildCold(g, opt, precond)
 	}
 	s := &Laplacian{
 		n:         prev.n,
@@ -268,6 +253,38 @@ func NewLaplacianFromDiff(g, prevG *graph.Graph, prev *Laplacian, diff []graph.K
 	}
 	s.allocScratch()
 	s.adoptBlockScratch(prev)
+	return s
+}
+
+// buildCold builds the solver for g from scratch with the resolved
+// preconditioner.
+func buildCold(g *graph.Graph, opt Options, precond Precond) *Laplacian {
+	n := g.N()
+	comp, ncomp := g.Components()
+	size := make([]int, ncomp)
+	for _, c := range comp {
+		size[c]++
+	}
+	s := &Laplacian{
+		n:       n,
+		l:       g.Laplacian(),
+		comp:    comp,
+		size:    size,
+		precond: precond,
+		opt:     opt,
+	}
+	switch precond {
+	case PrecondJacobi:
+		s.invDiag = make([]float64, n)
+		for i, d := range g.Degrees() {
+			if d > 0 {
+				s.invDiag[i] = 1 / d
+			}
+		}
+	case PrecondTree:
+		s.tree = maxWeightSpanningTree(g)
+	}
+	s.allocScratch()
 	return s
 }
 
@@ -295,7 +312,7 @@ func supportUnchanged(g, prevG *graph.Graph, diff []graph.Key) bool {
 // keep their sort order only when the two paths solve bit-equal
 // systems.) Returns nil when the sparsity pattern surprises (a diff
 // entry without a stored slot), sending the caller to a cold build.
-func (prev *Laplacian) patchedVals(g, prevG *graph.Graph, diff []graph.Key, opt Options) *Laplacian {
+func (prev *Laplacian) patchedVals(g *graph.Graph, diff []graph.Key, opt Options) *Laplacian {
 	l := prev.l.CloneVals()
 	deg := g.Degrees()
 	for _, k := range diff {
@@ -345,17 +362,8 @@ func (prev *Laplacian) patchedVals(g, prevG *graph.Graph, diff []graph.Key, opt 
 	return s
 }
 
-// Clone returns a solver sharing s's immutable setup (matrix, component
-// labelling, preconditioner) with fresh scratch buffers, so another
-// goroutine can Solve concurrently.
-func (s *Laplacian) Clone() *Laplacian {
-	cl := *s
-	cl.allocScratch()
-	return &cl
-}
-
 func (s *Laplacian) allocScratch() {
-	s.blk = nil // block scratch is per-solver; Clone must not share it
+	s.blk = nil // block scratch is per-solver, never shared
 	s.r = make([]float64, s.n)
 	s.z = make([]float64, s.n)
 	s.p = make([]float64, s.n)
@@ -371,19 +379,9 @@ func (s *Laplacian) allocScratch() {
 func (s *Laplacian) N() int { return s.n }
 
 // ReusedPrecond reports whether this solver's preconditioner setup was
-// carried over (shared or patched) from a previous snapshot's by
-// NewLaplacianFrom instead of being built cold.
+// carried over (shared or patched) from Build.Prev instead of being
+// built cold.
 func (s *Laplacian) ReusedPrecond() bool { return s.reused }
-
-// Project removes each component's mean from x in place — the
-// single-vector form of ProjectBlock, with bit-identical arithmetic to
-// one of its columns.
-func (s *Laplacian) Project(x []float64) {
-	if len(x) != s.n {
-		panic(fmt.Sprintf("solver: Project dimension mismatch: len(x)=%d, n=%d", len(x), s.n))
-	}
-	s.project(x)
-}
 
 // project removes each component's mean from x in place, mapping it
 // into the range of L (the orthogonal complement of the null space).
@@ -417,50 +415,14 @@ func (s *Laplacian) applyPrecond(z, r []float64) {
 	}
 }
 
-// Solve computes the minimum-norm solution of L x = b, first projecting
-// b onto the range of L (per-component mean removal, as the paper's
-// commute-time right-hand sides require). The result is written into a
-// new slice. If PCG stalls before reaching the tolerance the best
-// iterate is returned together with ErrNoConvergence.
-func (s *Laplacian) Solve(b []float64) ([]float64, Stats, error) {
-	x := make([]float64, s.n)
-	st, err := s.solve(x, b, false)
-	return x, st, err
-}
-
-// SolveInto is the allocation-free Solve: the minimum-norm solution is
-// written into x (whose incoming contents are ignored). x and b must
-// both have length N.
-func (s *Laplacian) SolveInto(x, b []float64) (Stats, error) {
-	return s.solve(x, b, false)
-}
-
-// SolveFrom is Solve warm-started from the initial guess x0 (which is
-// not modified). A good guess — e.g. the solution of the same row's
-// system on the previous snapshot of a slowly changing graph — lets PCG
-// converge in a handful of iterations instead of O(√κ); a guess that is
-// already within tolerance returns unchanged with zero iterations.
-func (s *Laplacian) SolveFrom(x0, b []float64) ([]float64, Stats, error) {
-	if len(x0) != s.n {
-		return nil, Stats{}, fmt.Errorf("solver: SolveFrom dimension mismatch: len(x0)=%d, n=%d", len(x0), s.n)
-	}
-	x := make([]float64, s.n)
-	copy(x, x0)
-	st, err := s.solve(x, b, true)
-	return x, st, err
-}
-
-// SolveFromInto is the allocation-free warm start: x's incoming
-// contents are the initial guess, and the solution overwrites it.
-func (s *Laplacian) SolveFromInto(x, b []float64) (Stats, error) {
-	return s.solve(x, b, true)
-}
-
-// solve is the shared PCG loop behind every Solve variant. When warm is
-// true, x's incoming contents are the initial guess; otherwise x is
-// zeroed first. Either way the converged minimum-norm (per-component
-// mean-centered) solution is left in x.
-func (s *Laplacian) solve(x, b []float64, warm bool) (Stats, error) {
+// solve is the single-RHS PCG loop behind SolveBlock at width 1: the
+// minimum-norm solution of L x = b, with b first projected onto the
+// range of L (per-component mean removal, as the paper's commute-time
+// right-hand sides require). When warm is true, x's incoming contents
+// are the initial guess; otherwise x is zeroed first. Either way the
+// converged minimum-norm (per-component mean-centered) solution is left
+// in x, to relative residual tol.
+func (s *Laplacian) solve(x, b []float64, warm bool, tol float64) (Stats, error) {
 	if len(b) != s.n || len(x) != s.n {
 		return Stats{}, fmt.Errorf("solver: Solve dimension mismatch: len(x)=%d, len(b)=%d, n=%d", len(x), len(b), s.n)
 	}
@@ -471,7 +433,6 @@ func (s *Laplacian) solve(x, b []float64, warm bool) (Stats, error) {
 		sparse.Zero(x) // the minimum-norm solution of L x = 0
 		return Stats{}, nil
 	}
-	tol := s.opt.tol()
 	maxIter := s.opt.maxIter(s.n)
 
 	if warm {
@@ -534,19 +495,4 @@ func (s *Laplacian) solve(x, b []float64, warm bool) (Stats, error) {
 	}
 	s.project(x)
 	return st, ErrNoConvergence
-}
-
-// Residual returns ‖b − L x‖₂ / ‖b‖₂ with b projected onto range(L);
-// a convenience for tests and diagnostics.
-func (s *Laplacian) Residual(x, b []float64) float64 {
-	pb := append([]float64(nil), b...)
-	s.project(pb)
-	nb := sparse.Norm2(pb)
-	if nb == 0 {
-		return 0
-	}
-	lx := make([]float64, s.n)
-	s.l.MulVec(lx, x)
-	sparse.Sub(lx, pb, lx)
-	return sparse.Norm2(lx) / nb
 }

@@ -4,7 +4,7 @@ package solver
 // solver state for the memory-governance ledger (internal/budget): the
 // CSR Laplacian, component bookkeeping, the preconditioner (Jacobi
 // diagonal or spanning forest), and the single- and multi-RHS scratch
-// blocks that persist across Solve calls. These buffers are exactly
+// blocks that persist across solves. These buffers are exactly
 // what hibernating a stream releases — the Laplacian is rebuilt from
 // the journaled graph on rehydrate, not serialized.
 func (s *Laplacian) SizeBytes() int64 {

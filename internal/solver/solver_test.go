@@ -49,19 +49,52 @@ func projectedRHS(rng *rand.Rand, n int) []float64 {
 	return b
 }
 
+// solveVec solves L x = b for one vector, cold, into a new slice.
+func solveVec(s *Laplacian, b []float64) ([]float64, Stats, error) {
+	x := make([]float64, s.n)
+	st, err := s.SolveBlock(x, b, 1, Solve{})
+	return x, st[0], err
+}
+
+// newFrom builds g's solver reusing prev (built for prevG), diffing the
+// snapshots the way the streaming caller does.
+func newFrom(t testing.TB, g, prevG *graph.Graph, prev *Laplacian, opt Options) *Laplacian {
+	t.Helper()
+	diff, err := graph.DiffSupport(prevG, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(g, opt, Build{Prev: prev, PrevG: prevG, Diff: diff})
+}
+
+// residual returns ‖P b − L x‖₂ / ‖P b‖₂, with P the projection onto
+// range(L).
+func residual(s *Laplacian, x, b []float64) float64 {
+	pb := append([]float64(nil), b...)
+	s.project(pb)
+	nb := sparse.Norm2(pb)
+	if nb == 0 {
+		return 0
+	}
+	lx := make([]float64, s.n)
+	s.l.MulVec(lx, x)
+	sparse.Sub(lx, pb, lx)
+	return sparse.Norm2(lx) / nb
+}
+
 func TestSolveResidualSmall(t *testing.T) {
 	for _, prec := range []Precond{PrecondTree, PrecondJacobi, PrecondNone} {
 		prec := prec
 		t.Run(prec.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			g := randomConnectedGraph(rng, 60)
-			s := NewLaplacian(g, Options{Precond: prec})
+			s := New(g, Options{Precond: prec}, Build{})
 			b := projectedRHS(rng, 60)
-			x, st, err := s.Solve(b)
+			x, st, err := solveVec(s, b)
 			if err != nil {
 				t.Fatalf("Solve: %v (after %d iters, res %g)", err, st.Iterations, st.Residual)
 			}
-			if res := s.Residual(x, b); res > 1e-7 {
+			if res := residual(s, x, b); res > 1e-7 {
 				t.Fatalf("residual %g too large", res)
 			}
 		})
@@ -71,8 +104,8 @@ func TestSolveResidualSmall(t *testing.T) {
 func TestSolveZeroRHS(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomConnectedGraph(rng, 10)
-	s := NewLaplacian(g, Options{})
-	x, st, err := s.Solve(make([]float64, 10))
+	s := New(g, Options{}, Build{})
+	x, st, err := solveVec(s, make([]float64, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +124,12 @@ func TestSolveConstantRHSProjectedAway(t *testing.T) {
 	// system is 0 = 0 with solution x = 0.
 	rng := rand.New(rand.NewSource(5))
 	g := randomConnectedGraph(rng, 12)
-	s := NewLaplacian(g, Options{})
+	s := New(g, Options{}, Build{})
 	b := make([]float64, 12)
 	for i := range b {
 		b[i] = 3
 	}
-	x, _, err := s.Solve(b)
+	x, _, err := solveVec(s, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +141,8 @@ func TestSolveConstantRHSProjectedAway(t *testing.T) {
 func TestSolveDimensionMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomConnectedGraph(rng, 8)
-	s := NewLaplacian(g, Options{})
-	if _, _, err := s.Solve(make([]float64, 7)); err == nil {
+	s := New(g, Options{}, Build{})
+	if _, _, err := solveVec(s, make([]float64, 7)); err == nil {
 		t.Fatal("want error on dimension mismatch")
 	}
 }
@@ -124,13 +157,13 @@ func TestSolveDisconnectedGraph(t *testing.T) {
 	b.AddEdge(4, 5, 1)
 	// vertex 6 isolated
 	g := b.MustBuild()
-	s := NewLaplacian(g, Options{})
+	s := New(g, Options{}, Build{})
 	rhs := []float64{1, -2, 1, 3, -3, 0, 9}
-	x, _, err := s.Solve(rhs)
+	x, _, err := solveVec(s, rhs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := s.Residual(x, rhs); res > 1e-7 {
+	if res := residual(s, x, rhs); res > 1e-7 {
 		t.Fatalf("residual %g", res)
 	}
 	if x[6] != 0 {
@@ -178,12 +211,12 @@ func TestQuickSolveConverges(t *testing.T) {
 		g := randomConnectedGraph(rng, n)
 		b := projectedRHS(rng, n)
 		for _, prec := range []Precond{PrecondTree, PrecondJacobi} {
-			s := NewLaplacian(g, Options{Precond: prec})
-			x, _, err := s.Solve(b)
+			s := New(g, Options{Precond: prec}, Build{})
+			x, _, err := solveVec(s, b)
 			if err != nil {
 				return false
 			}
-			if s.Residual(x, b) > 1e-6 {
+			if residual(s, x, b) > 1e-6 {
 				return false
 			}
 		}
@@ -203,10 +236,10 @@ func TestQuickPrecondsAgree(t *testing.T) {
 		n := 3 + rng.Intn(25)
 		g := randomConnectedGraph(rng, n)
 		b := projectedRHS(rng, n)
-		sTree := NewLaplacian(g, Options{Precond: PrecondTree, Tol: 1e-11})
-		sJac := NewLaplacian(g, Options{Precond: PrecondJacobi, Tol: 1e-11})
-		xt, _, err1 := sTree.Solve(b)
-		xj, _, err2 := sJac.Solve(b)
+		sTree := New(g, Options{Precond: PrecondTree, Tol: 1e-11}, Build{})
+		sJac := New(g, Options{Precond: PrecondJacobi, Tol: 1e-11}, Build{})
+		xt, _, err1 := solveVec(sTree, b)
+		xj, _, err2 := solveVec(sJac, b)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -242,8 +275,8 @@ func TestTreePreconditionerSpeedsConvergence(t *testing.T) {
 
 	iters := map[Precond]int{}
 	for _, prec := range []Precond{PrecondTree, PrecondNone} {
-		s := NewLaplacian(g, Options{Precond: prec, MaxIter: 1000000})
-		_, st, err := s.Solve(rhs)
+		s := New(g, Options{Precond: prec, MaxIter: 1000000}, Build{})
+		_, st, err := solveVec(s, rhs)
 		if err != nil {
 			t.Fatalf("%v: %v", prec, err)
 		}
@@ -266,14 +299,14 @@ func TestPrecondAutoSelectsByDensity(t *testing.T) {
 	}
 	denseG := dense.MustBuild() // avg degree 29
 
-	if s := NewLaplacian(sparseG, Options{}); s.precond != PrecondTree {
+	if s := New(sparseG, Options{}, Build{}); s.precond != PrecondTree {
 		t.Fatalf("sparse graph resolved to %v, want tree", s.precond)
 	}
-	if s := NewLaplacian(denseG, Options{}); s.precond != PrecondJacobi {
+	if s := New(denseG, Options{}, Build{}); s.precond != PrecondJacobi {
 		t.Fatalf("dense graph resolved to %v, want jacobi", s.precond)
 	}
 	// Explicit choices are honored verbatim.
-	if s := NewLaplacian(denseG, Options{Precond: PrecondTree}); s.precond != PrecondTree {
+	if s := New(denseG, Options{Precond: PrecondTree}, Build{}); s.precond != PrecondTree {
 		t.Fatal("explicit tree overridden")
 	}
 }

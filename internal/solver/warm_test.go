@@ -36,24 +36,11 @@ func perturbGraph(rng *rand.Rand, g *graph.Graph, edits int) *graph.Graph {
 	return b.MustBuild()
 }
 
-func TestSolveIntoMatchesSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := randomConnectedGraph(rng, 40)
-	b := projectedRHS(rng, 40)
-	s := NewLaplacian(g, Options{})
-	want, _, err := s.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, 40)
-	if _, err := s.SolveInto(got, b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SolveInto[%d] = %g, Solve = %g", i, got[i], want[i])
-		}
-	}
+// warmVec solves L x = b warm-started from a copy of x0.
+func warmVec(s *Laplacian, x0, b []float64) ([]float64, Stats, error) {
+	x := append([]float64(nil), x0...)
+	st, err := s.SolveBlock(x, b, 1, Solve{Warm: true})
+	return x, st[0], err
 }
 
 // A warm start from the already-converged solution must return it
@@ -63,12 +50,12 @@ func TestSolveFromConvergedGuessIsFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomConnectedGraph(rng, 60)
 	b := projectedRHS(rng, 60)
-	s := NewLaplacian(g, Options{})
-	x0, _, err := s.Solve(b)
+	s := New(g, Options{}, Build{})
+	x0, _, err := solveVec(s, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, st, err := s.SolveFrom(x0, b)
+	x, st, err := warmVec(s, x0, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,29 +70,22 @@ func TestSolveFromConvergedGuessIsFree(t *testing.T) {
 }
 
 // A warm start from an arbitrary guess must converge to the same
-// minimum-norm solution as a cold solve, within tolerance, and the
-// guess itself must not be modified by SolveFrom.
+// minimum-norm solution as a cold solve, within tolerance.
 func TestSolveFromAgreesWithCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		n := 10 + rng.Intn(50)
 		g := randomConnectedGraph(rng, n)
 		b := projectedRHS(rng, n)
-		s := NewLaplacian(g, Options{})
-		cold, _, err := s.Solve(b)
+		s := New(g, Options{}, Build{})
+		cold, _, err := solveVec(s, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		x0 := projectedRHS(rng, n) // arbitrary (even uncentered would be fine)
-		saved := append([]float64(nil), x0...)
-		warm, _, err := s.SolveFrom(x0, b)
+		warm, _, err := warmVec(s, x0, b)
 		if err != nil {
 			t.Fatal(err)
-		}
-		for i := range x0 {
-			if x0[i] != saved[i] {
-				t.Fatalf("SolveFrom modified its x0 argument at %d", i)
-			}
 		}
 		scale := sparse.Norm2(cold) + 1
 		for i := range cold {
@@ -124,22 +104,22 @@ func TestSolveFromAcrossEdit(t *testing.T) {
 	g1 := perturbGraph(rng, g0, 4)
 	b := projectedRHS(rng, 80)
 
-	s0 := NewLaplacian(g0, Options{})
-	x0, _, err := s0.Solve(b)
+	s0 := New(g0, Options{}, Build{})
+	x0, _, err := solveVec(s0, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	s1 := NewLaplacianFrom(g1, g0, s0, Options{})
-	cold, coldSt, err := NewLaplacian(g1, Options{}).Solve(b)
+	s1 := newFrom(t, g1, g0, s0, Options{})
+	cold, coldSt, err := solveVec(New(g1, Options{}, Build{}), b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, warmSt, err := s1.SolveFrom(x0, b)
+	warm, warmSt, err := warmVec(s1, x0, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := s1.Residual(warm, b); r > 1e-6 {
+	if r := residual(s1, warm, b); r > 1e-6 {
 		t.Fatalf("warm solve residual %g", r)
 	}
 	scale := sparse.Norm2(cold) + 1
@@ -154,17 +134,17 @@ func TestSolveFromAcrossEdit(t *testing.T) {
 func TestNewLaplacianFromSharesUnchangedSetup(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := randomConnectedGraph(rng, 50)
-	s0 := NewLaplacian(g, Options{})
-	s1 := NewLaplacianFrom(g, g, s0, Options{})
+	s0 := New(g, Options{}, Build{})
+	s1 := newFrom(t, g, g, s0, Options{})
 	if !s1.ReusedPrecond() {
 		t.Fatal("identical graph did not reuse the preconditioner")
 	}
 	b := projectedRHS(rng, 50)
-	want, _, err := s0.Solve(b)
+	want, _, err := solveVec(s0, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := s1.Solve(b)
+	got, _, err := solveVec(s1, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,13 +164,13 @@ func TestNewLaplacianFromPatchesForest(t *testing.T) {
 		n := 20 + rng.Intn(60)
 		g0 := randomConnectedGraph(rng, n)
 		g1 := perturbGraph(rng, g0, 3)
-		s0 := NewLaplacian(g0, Options{Precond: PrecondTree})
-		s1 := NewLaplacianFrom(g1, g0, s0, Options{Precond: PrecondTree})
-		cold := NewLaplacian(g1, Options{Precond: PrecondTree})
+		s0 := New(g0, Options{Precond: PrecondTree}, Build{})
+		s1 := newFrom(t, g1, g0, s0, Options{Precond: PrecondTree})
+		cold := New(g1, Options{Precond: PrecondTree}, Build{})
 
 		b := projectedRHS(rng, n)
-		want, _, errCold := cold.Solve(b)
-		got, _, errWarm := s1.Solve(b)
+		want, _, errCold := solveVec(cold, b)
+		got, _, errWarm := solveVec(s1, b)
 		if (errCold == nil) != (errWarm == nil) {
 			t.Fatalf("trial %d: cold err %v, warm err %v", trial, errCold, errWarm)
 		}
@@ -216,7 +196,7 @@ func TestNewLaplacianFromFallsBackOnTopologyChange(t *testing.T) {
 	b0.SetEdge(1, 2, 1)
 	b0.SetEdge(3, 4, 1)
 	g0 := b0.MustBuild()
-	s0 := NewLaplacian(g0, Options{Precond: PrecondTree})
+	s0 := New(g0, Options{Precond: PrecondTree}, Build{})
 
 	// Bridge the components: not patchable.
 	b1 := graph.NewBuilder(5)
@@ -225,7 +205,7 @@ func TestNewLaplacianFromFallsBackOnTopologyChange(t *testing.T) {
 	b1.SetEdge(3, 4, 1)
 	b1.SetEdge(2, 3, 1)
 	g1 := b1.MustBuild()
-	if s := NewLaplacianFrom(g1, g0, s0, Options{Precond: PrecondTree}); s.ReusedPrecond() {
+	if s := newFrom(t, g1, g0, s0, Options{Precond: PrecondTree}); s.ReusedPrecond() {
 		t.Fatal("component-merging edge reused the forest")
 	}
 
@@ -234,45 +214,49 @@ func TestNewLaplacianFromFallsBackOnTopologyChange(t *testing.T) {
 	b2.SetEdge(0, 1, 1)
 	b2.SetEdge(3, 4, 1)
 	g2 := b2.MustBuild()
-	if s := NewLaplacianFrom(g2, g0, s0, Options{Precond: PrecondTree}); s.ReusedPrecond() {
+	if s := newFrom(t, g2, g0, s0, Options{Precond: PrecondTree}); s.ReusedPrecond() {
 		t.Fatal("forest-edge deletion reused the forest")
 	}
 
 	// Sanity: the fallback solvers still solve their graphs correctly.
 	rng := rand.New(rand.NewSource(19))
-	s1 := NewLaplacianFrom(g1, g0, s0, Options{Precond: PrecondTree})
+	s1 := newFrom(t, g1, g0, s0, Options{Precond: PrecondTree})
 	b := projectedRHS(rng, 5)
-	x, _, err := s1.Solve(b)
+	x, _, err := solveVec(s1, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := s1.Residual(x, b); r > 1e-6 {
+	if r := residual(s1, x, b); r > 1e-6 {
 		t.Fatalf("fallback solve residual %g", r)
 	}
 }
 
-// Clone must give an independent solver: concurrent solves from clones
+// The shared-setup reuse path (an unchanged graph) must give an
+// independent solver: concurrent solves on solvers sharing one setup
 // match the sequential result.
 func TestCloneSolvesIndependently(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := randomConnectedGraph(rng, 60)
-	s := NewLaplacian(g, Options{})
+	s := New(g, Options{}, Build{})
 	rhs := make([][]float64, 8)
 	want := make([][]float64, 8)
 	for i := range rhs {
 		rhs[i] = projectedRHS(rng, 60)
-		x, _, err := s.Solve(rhs[i])
+		x, _, err := solveVec(s, rhs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = x
 	}
+	shared := make([]*Laplacian, len(rhs))
+	for i := range shared {
+		shared[i] = New(g, Options{}, Build{Prev: s, PrevG: g})
+	}
 	got := make([][]float64, 8)
 	done := make(chan int, 8)
 	for i := range rhs {
 		go func(i int) {
-			cl := s.Clone()
-			x, _, err := cl.Solve(rhs[i])
+			x, _, err := solveVec(shared[i], rhs[i])
 			if err == nil {
 				got[i] = x
 			}

@@ -73,20 +73,7 @@ func (s *Laplacian) IncidenceSolves(updates []EdgeUpdate, workers int) ([]float6
 	// enforces the final tolerance either way (polishing when the
 	// correction falls short). Half the digits — √tol — suffice here
 	// and roughly halve the base-solve iteration count.
-	saved := s.opt
-	s.opt.Tol = math.Sqrt(saved.tol())
-	defer func() { s.opt = saved }()
-	if m == 1 {
-		// An n×1 row-major block is a plain vector; the single-RHS loop
-		// has far less per-nonzero overhead than the blocked kernel at
-		// k=1, and the rank-1 case is the streaming hot path.
-		st, err := s.solve(u, b, false)
-		if err != nil {
-			return nil, []Stats{st}, fmt.Errorf("solver: incidence solve: %w", err)
-		}
-		return u, []Stats{st}, nil
-	}
-	stats, err := s.solveBlock(u, b, m, workers, false)
+	stats, err := s.SolveBlock(u, b, m, Solve{Tol: math.Sqrt(s.opt.tol()), Workers: workers})
 	if err != nil {
 		return nil, stats, fmt.Errorf("solver: incidence solve: %w", err)
 	}

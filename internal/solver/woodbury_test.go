@@ -66,10 +66,10 @@ func TestWoodburyCorrectMatchesDirectSolve(t *testing.T) {
 		m := 1 + rng.Intn(4)
 		g := randomConnectedGraph(rng, n)
 		opt := Options{Tol: 1e-10}
-		s := NewLaplacian(g, opt)
+		s := New(g, opt, Build{})
 		y := blockRHS(rng, n, k)
 		z := make([]float64, n*k)
-		if _, err := s.SolveBlock(z, y, k, 1); err != nil {
+		if _, err := s.SolveBlock(z, y, k, Solve{}); err != nil {
 			t.Fatal(err)
 		}
 		g2, updates := reweightEdits(rng, g, m)
@@ -83,7 +83,7 @@ func TestWoodburyCorrectMatchesDirectSolve(t *testing.T) {
 			t.Fatalf("trial %d (m=%d): %v", trial, m, err)
 		}
 
-		s2 := NewLaplacian(g2, opt)
+		s2 := New(g2, opt, Build{})
 		for c := 0; c < k; c++ {
 			col := make([]float64, n)
 			bcol := make([]float64, n)
@@ -91,7 +91,7 @@ func TestWoodburyCorrectMatchesDirectSolve(t *testing.T) {
 				col[v] = z[v*k+c]
 				bcol[v] = y[v*k+c]
 			}
-			if res := s2.Residual(col, bcol); res > 1e-4 {
+			if res := residual(s2, col, bcol); res > 1e-4 {
 				t.Fatalf("trial %d (m=%d): corrected column %d has residual %g on the edited operator", trial, m, c, res)
 			}
 		}
@@ -101,12 +101,12 @@ func TestWoodburyCorrectMatchesDirectSolve(t *testing.T) {
 		// under a from-scratch solve's iterations (at the serving
 		// tolerance of ~1e-5 it typically takes zero; at this test's
 		// 1e-10 the √tol base solves leave half the digits to polish).
-		stats, err := s2.SolveBlockFrom(z, y, k, 1)
+		stats, err := s2.SolveBlock(z, y, k, Solve{Warm: true})
 		if err != nil {
 			t.Fatalf("trial %d (m=%d): verification solve: %v", trial, m, err)
 		}
 		cold := make([]float64, n*k)
-		coldStats, err := s2.SolveBlock(cold, y, k, 1)
+		coldStats, err := s2.SolveBlock(cold, y, k, Solve{})
 		if err != nil {
 			t.Fatalf("trial %d (m=%d): cold reference solve: %v", trial, m, err)
 		}
@@ -126,7 +126,7 @@ func TestWoodburyCorrectMatchesDirectSolve(t *testing.T) {
 				col[v] = z[v*k+c]
 				bcol[v] = y[v*k+c]
 			}
-			if res := s2.Residual(col, bcol); res > 1e-9 {
+			if res := residual(s2, col, bcol); res > 1e-9 {
 				t.Fatalf("trial %d (m=%d): verified column %d has residual %g on the edited operator", trial, m, c, res)
 			}
 		}
@@ -142,10 +142,10 @@ func TestWoodburyCorrectWithRHSChange(t *testing.T) {
 	const n, k, m = 50, 3, 3
 	g := randomConnectedGraph(rng, n)
 	opt := Options{Tol: 1e-10}
-	s := NewLaplacian(g, opt)
+	s := New(g, opt, Build{})
 	y := blockRHS(rng, n, k)
 	z := make([]float64, n*k)
-	if _, err := s.SolveBlock(z, y, k, 1); err != nil {
+	if _, err := s.SolveBlock(z, y, k, Solve{}); err != nil {
 		t.Fatal(err)
 	}
 	g2, updates := reweightEdits(rng, g, m)
@@ -171,7 +171,7 @@ func TestWoodburyCorrectWithRHSChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := NewLaplacian(g2, opt)
+	s2 := New(g2, opt, Build{})
 	for c := 0; c < k; c++ {
 		col := make([]float64, n)
 		bcol := make([]float64, n)
@@ -179,7 +179,7 @@ func TestWoodburyCorrectWithRHSChange(t *testing.T) {
 			col[v] = z[v*k+c]
 			bcol[v] = y2[v*k+c]
 		}
-		if res := s2.Residual(col, bcol); res > 1e-4 {
+		if res := residual(s2, col, bcol); res > 1e-4 {
 			t.Fatalf("corrected column %d has residual %g against the shifted RHS", c, res)
 		}
 	}
@@ -195,10 +195,10 @@ func TestWoodburyCorrectBridgeDeletionIsSingular(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n, k = 30, 2
 	g := randomTree(rng, n)
-	s := NewLaplacian(g, Options{Precond: PrecondTree})
+	s := New(g, Options{Precond: PrecondTree}, Build{})
 	y := blockRHS(rng, n, k)
 	z := make([]float64, n*k)
-	if _, err := s.SolveBlock(z, y, k, 1); err != nil {
+	if _, err := s.SolveBlock(z, y, k, Solve{}); err != nil {
 		t.Fatal(err)
 	}
 	saved := append([]float64(nil), z...)
@@ -231,7 +231,7 @@ func TestWoodburyCorrectRejectsZeroDelta(t *testing.T) {
 func TestIncidenceSolvesValidatesEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g := randomConnectedGraph(rng, 10)
-	s := NewLaplacian(g, Options{})
+	s := New(g, Options{}, Build{})
 	for _, bad := range [][]EdgeUpdate{
 		nil,
 		{{I: 3, J: 3, DeltaW: 1}},
@@ -251,14 +251,14 @@ func TestNewLaplacianFromPatchesReweightJacobi(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := randomConnectedGraph(rng, 50)
 	opt := Options{Precond: PrecondJacobi}
-	prev := NewLaplacian(g, opt)
+	prev := New(g, opt, Build{})
 	g2, _ := reweightEdits(rng, g, 4)
 
-	s := NewLaplacianFrom(g2, g, prev, opt)
+	s := newFrom(t, g2, g, prev, opt)
 	if !s.ReusedPrecond() || s.reuseKind != "patched" {
 		t.Fatalf("reweight-only diff took reuseKind %q, want patched", s.reuseKind)
 	}
-	cold := NewLaplacian(g2, opt)
+	cold := New(g2, opt, Build{})
 	if s.l.NNZ() != cold.l.NNZ() {
 		t.Fatalf("patched matrix has %d nnz, cold %d", s.l.NNZ(), cold.l.NNZ())
 	}
@@ -274,11 +274,11 @@ func TestNewLaplacianFromPatchesReweightJacobi(t *testing.T) {
 	}
 
 	b := projectedRHS(rng, 50)
-	want, _, err := cold.Solve(b)
+	want, _, err := solveVec(cold, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := s.Solve(b)
+	got, _, err := solveVec(s, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,19 +295,19 @@ func TestNewLaplacianFromPatchesReweightTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	g := randomTree(rng, 40)
 	opt := Options{Precond: PrecondTree}
-	prev := NewLaplacian(g, opt)
+	prev := New(g, opt, Build{})
 	g2, _ := reweightEdits(rng, g, 3)
 
-	s := NewLaplacianFrom(g2, g, prev, opt)
+	s := newFrom(t, g2, g, prev, opt)
 	if !s.ReusedPrecond() || s.reuseKind != "patched" {
 		t.Fatalf("tree reweight diff took reuseKind %q, want patched", s.reuseKind)
 	}
 	b := projectedRHS(rng, 40)
-	want, _, err := NewLaplacian(g2, opt).Solve(b)
+	want, _, err := solveVec(New(g2, opt, Build{}), b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := s.Solve(b)
+	got, _, err := solveVec(s, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestNewLaplacianFromInsertFallsColdOnJacobi(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := randomConnectedGraph(rng, 30)
 	opt := Options{Precond: PrecondJacobi}
-	prev := NewLaplacian(g, opt)
+	prev := New(g, opt, Build{})
 
 	b := copyGraph(g)
 	for added := 0; added < 2; {
@@ -337,7 +337,7 @@ func TestNewLaplacianFromInsertFallsColdOnJacobi(t *testing.T) {
 		}
 	}
 	g2 := b.MustBuild()
-	s := NewLaplacianFrom(g2, g, prev, opt)
+	s := newFrom(t, g2, g, prev, opt)
 	if s.ReusedPrecond() {
 		t.Fatalf("insert diff reused the preconditioner (kind %q), want cold", s.reuseKind)
 	}
@@ -352,7 +352,7 @@ func TestComponentsAccessorMatchesGraph(t *testing.T) {
 	b.AddEdge(3, 4, 1)
 	b.AddEdge(4, 5, 1)
 	g := b.MustBuild()
-	s := NewLaplacian(g, Options{})
+	s := New(g, Options{}, Build{})
 	comp, ncomp := s.Components()
 	wantComp, wantN := g.Components()
 	if ncomp != wantN {

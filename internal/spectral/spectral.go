@@ -72,11 +72,9 @@ type pinvOp struct {
 }
 
 func (p *pinvOp) apply(dst, src []float64) {
-	x, _, err := p.lap.Solve(src)
-	if err != nil && p.err == nil {
+	if _, err := p.lap.SolveBlock(dst, src, 1, solver.Solve{}); err != nil && p.err == nil {
 		p.err = err
 	}
-	copy(dst, x)
 }
 func (p *pinvOp) dim() int { return p.lap.N() }
 
@@ -195,7 +193,7 @@ func SmallestLaplacian(g *graph.Graph, k int, opt Options) (vals []float64, vecs
 	if !g.IsConnected() {
 		return nil, nil, errors.New("spectral: SmallestLaplacian requires a connected graph")
 	}
-	op := &pinvOp{lap: solver.NewLaplacian(g, solver.Options{Tol: 1e-12})}
+	op := &pinvOp{lap: solver.New(g, solver.Options{Tol: 1e-12}, solver.Build{})}
 	ones := make([]float64, n)
 	for i := range ones {
 		ones[i] = 1 / math.Sqrt(float64(n))
