@@ -84,11 +84,14 @@ trace-smoke:
 	$(GO) run ./cmd/cadrun -in /tmp/cad-trace-smoke.txt -trace-out /tmp/cad-trace-smoke.json > /dev/null
 	$(GO) run ./cmd/tracecheck /tmp/cad-trace-smoke.json
 
-# Short coverage-guided run of the edge-list parser fuzzer: catches
-# parser regressions (NaN/Inf/negative-weight acceptance, allocation
-# bombs) beyond the checked-in seed corpus. CI runs this.
+# Short coverage-guided runs of every fuzzer: the edge-list parser
+# (NaN/Inf/negative-weight acceptance, allocation bombs) and the δ
+# selection (bit-exact against the merged-sort reference, edgesAt
+# against AnomalousEdges), beyond their checked-in seed corpora. CI runs
+# this.
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzReadSequence -fuzztime=10s ./internal/graph
+	$(GO) test -run=NONE -fuzz='^FuzzReadSequence$$' -fuzztime=10s ./internal/graph
+	$(GO) test -run=NONE -fuzz='^FuzzSelectDelta$$' -fuzztime=10s ./internal/core
 
 # Memory-governance smoke: a small run of the hibernate benchmark
 # (create → hibernate → rehydrate on the real serving stack) plus the

@@ -84,6 +84,51 @@ func BenchmarkThresholdAndSelectDelta(b *testing.B) {
 	}
 }
 
+// deltaSink keeps the benchmarked selections observable.
+var deltaSink float64
+
+// BenchmarkSelectDelta times one push's δ re-selection over a cached
+// window of T transitions with E scored pairs each, l=3: the bisection
+// against the merged-sort reference, which pays the breakpoint concat
+// into reused scratch and the sort on every call. 32×30000 is the
+// pushbench rewire window, 5000×3 a long unbounded history of
+// few-edge transitions.
+func BenchmarkSelectDelta(b *testing.B) {
+	for _, shape := range []struct{ t, e, n int }{{32, 30000, 5000}, {2000, 50, 2000}, {5000, 3, 2000}} {
+		rng := rand.New(rand.NewSource(83))
+		trs := make([]Transition, shape.t)
+		for t := range trs {
+			scores := make([]EdgeScore, shape.e)
+			for e := range scores {
+				i, j := rng.Intn(shape.n), rng.Intn(shape.n-1)
+				if j >= i {
+					j++
+				}
+				scores[e] = EdgeScore{I: min(i, j), J: max(i, j), Score: rng.ExpFloat64()}
+			}
+			sortScores(scores)
+			trs[t] = Transition{T: t, Scores: scores, Total: TotalScore(scores)}
+		}
+		steps := buildSteps(trs)
+		name := fmt.Sprintf("%dx%d", shape.t, shape.e)
+		b.Run(name+"/bisect", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				deltaSink = selectDeltaFromSteps(steps, 3)
+			}
+		})
+		b.Run(name+"/merged-sort", func(b *testing.B) {
+			var scratch []float64
+			selectDeltaMergedSort(steps, 3, &scratch) // grow the scratch, as a warm detector has
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				deltaSink = selectDeltaMergedSort(steps, 3, &scratch)
+			}
+		})
+	}
+}
+
 func BenchmarkNodeScores(b *testing.B) {
 	const n = 300
 	g0, g1 := benchPair(n)

@@ -232,15 +232,6 @@ func TopLPerTransition(transitions []Transition, l int) Report {
 	return rep
 }
 
-// totalNodesAt counts Σ_t |V_t| at threshold delta.
-func totalNodesAt(transitions []Transition, delta float64) int {
-	var total int
-	for _, tr := range transitions {
-		total += len(AnomalousNodes(AnomalousEdges(tr.Scores, delta)))
-	}
-	return total
-}
-
 // SelectDelta automates the paper's §4.2 threshold choice: pick a
 // single global δ so that the total number of anomalous nodes over all
 // transitions is (approximately) l·(T−1), i.e. l per transition on
@@ -252,21 +243,16 @@ func totalNodesAt(transitions []Transition, delta float64) int {
 // the residual masses of each transition's score prefixes, so the
 // largest δ whose node total is at least the target (the conservative
 // side: never fewer alarms than asked for unless even δ=0 cannot reach
-// the target) is found exactly by a binary search over the merged
-// breakpoints — see delta.go. The streaming detector keeps the per-
-// transition step functions cached across pushes; this batch entry
-// point computes them on the spot.
+// the target) is always one of those breakpoints. It is found exactly
+// by bisecting the float64 bit patterns of [0, max transition total]
+// against per-transition binary searches — see delta.go. The streaming
+// detector keeps the per-transition step functions cached across
+// pushes; this batch entry point builds them on the spot.
 func SelectDelta(transitions []Transition, l float64) float64 {
 	var marks nodeMarker
 	steps := make([]deltaSteps, len(transitions))
-	nb := 0
-	for _, tr := range transitions {
-		nb += len(tr.Scores) + 1
-	}
-	breaks := make([]float64, 0, nb)
 	for i, tr := range transitions {
 		steps[i] = newDeltaSteps(tr, &marks)
-		breaks = append(breaks, steps[i].residuals...)
 	}
-	return selectDeltaFromSteps(steps, breaks, l)
+	return selectDeltaFromSteps(steps, l)
 }

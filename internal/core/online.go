@@ -44,12 +44,13 @@ type OnlineDetector struct {
 	// never consults it. len(ids) == n when set.
 	ids []string
 
-	// δ re-selection cache: one precomputed step function per retained
-	// transition (aligned with history), plus reusable scratch, so the
-	// per-Push SelectDelta over the whole window allocates nothing.
-	steps  []deltaSteps
-	breaks []float64
-	marks  nodeMarker
+	// δ step-function cache: one per retained transition (aligned with
+	// history), built once when the transition is scored. δ re-selection
+	// bisects them and every report reads its prefix from them, so
+	// neither re-sums nor re-sorts scores; marks is the reusable node set
+	// the builds share.
+	steps []deltaSteps
+	marks nodeMarker
 
 	// Incremental-build accounting for LastOracleStats.
 	lastStats      OracleStats
@@ -311,22 +312,17 @@ func (o *OnlineDetector) PushTraced(g *graph.Graph, parent *obs.Span) (*Transiti
 		o.steps = o.steps[:keep]
 		o.evicted += drop
 	}
-	o.breaks = o.breaks[:0]
-	for i := range o.steps {
-		o.breaks = append(o.breaks, o.steps[i].residuals...)
-	}
-	o.delta = selectDeltaFromSteps(o.steps, o.breaks, o.l)
+	o.delta = selectDeltaFromSteps(o.steps, o.l)
 	sp.SetFloat("delta", o.delta)
 	sp.SetInt("history", int64(len(o.history)))
 	sp.End()
 
 	sp = parent.StartChild("threshold")
-	edges := AnomalousEdges(scores, o.delta)
-	rep := &TransitionReport{T: o.t - 1, Edges: edges, Nodes: AnomalousNodes(edges)}
-	sp.SetInt("edges", int64(len(edges)))
+	rep := o.transitionReport(len(o.history) - 1)
+	sp.SetInt("edges", int64(len(rep.Edges)))
 	sp.SetInt("nodes", int64(len(rep.Nodes)))
 	sp.End()
-	return rep, nil
+	return &rep, nil
 }
 
 // Delta returns the current global threshold (0 until the second
@@ -359,11 +355,36 @@ func (o *OnlineDetector) Transitions() []Transition { return o.history }
 
 // Report re-thresholds the retained history at the current δ — the
 // batch-equivalent view of the stream consumed so far (of the window
-// only, when SetMaxHistory bounds it).
+// only, when SetMaxHistory bounds it). It equals Threshold over
+// Transitions at Delta, but reads each transition's anomalous prefix
+// from the cached step functions instead of re-summing its scores.
 func (o *OnlineDetector) Report() Report {
-	rep := Threshold(o.history, o.delta)
+	rep := Report{Delta: o.delta, Transitions: make([]TransitionReport, len(o.history))}
+	for i := range o.history {
+		rep.Transitions[i] = o.transitionReport(i)
+	}
 	if o.ids != nil {
 		rep.VertexIDs = append([]string(nil), o.ids...)
 	}
 	return rep
+}
+
+// TransitionReport returns transition t's anomaly sets at the current
+// δ — the entry Report would hold for t, without thresholding the rest
+// of the window. It reports false when t is not retained (evicted, or
+// not yet scored).
+func (o *OnlineDetector) TransitionReport(t int) (TransitionReport, bool) {
+	i := t - o.evicted
+	if i < 0 || i >= len(o.history) {
+		return TransitionReport{}, false
+	}
+	return o.transitionReport(i), true
+}
+
+// transitionReport thresholds the retained transition at window
+// position i (history[i].T == evicted+i) at the current δ.
+func (o *OnlineDetector) transitionReport(i int) TransitionReport {
+	tr := o.history[i]
+	edges := o.steps[i].edgesAt(tr.Scores, o.delta)
+	return TransitionReport{T: tr.T, Edges: edges, Nodes: AnomalousNodes(edges)}
 }

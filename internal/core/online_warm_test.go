@@ -266,33 +266,18 @@ func TestQuickSelectDeltaMatchesBisectionReference(t *testing.T) {
 	}
 }
 
-// The δ cache maintained across pushes must stay consistent with a
-// from-scratch SelectDelta over the retained history, including across
-// window evictions.
-func TestOnlineCachedDeltaMatchesBatchSelection(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	const n = 30
+// driftingGraphs returns count instances of an n-cycle with chords,
+// each reweighting one to three random pairs of its predecessor.
+func driftingGraphs(rng *rand.Rand, n, count int) []*graph.Graph {
 	base := graph.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		base.SetEdge(i, (i+1)%n, 1)
 		base.SetEdge(i, (i+7)%n, 0.5)
 	}
-	g := base.MustBuild()
-
-	o := NewOnline(Config{Variant: VariantADJ}, 1.5)
-	o.SetMaxHistory(4)
-	cur := g
-	for push := 0; push < 12; push++ {
-		if _, err := o.Push(cur); err != nil {
-			t.Fatal(err)
-		}
-		if len(o.Transitions()) > 0 {
-			if want := SelectDelta(o.Transitions(), 1.5); o.Delta() != want {
-				t.Fatalf("push %d: cached δ %g, from-scratch δ %g", push, o.Delta(), want)
-			}
-		}
+	out := []*graph.Graph{base.MustBuild()}
+	for len(out) < count {
 		b := graph.NewBuilder(n)
-		for _, e := range cur.Edges() {
+		for _, e := range out[len(out)-1].Edges() {
 			b.SetEdge(e.I, e.J, e.W)
 		}
 		for k := 0; k < 1+rng.Intn(3); k++ {
@@ -301,6 +286,58 @@ func TestOnlineCachedDeltaMatchesBatchSelection(t *testing.T) {
 				b.SetEdge(i, j, rng.Float64()*2)
 			}
 		}
-		cur = b.MustBuild()
+		out = append(out, b.MustBuild())
+	}
+	return out
+}
+
+// The δ cache maintained across pushes must stay consistent with a
+// from-scratch SelectDelta over the retained history, including across
+// window evictions.
+func TestOnlineCachedDeltaMatchesBatchSelection(t *testing.T) {
+	o := NewOnline(Config{Variant: VariantADJ}, 1.5)
+	o.SetMaxHistory(4)
+	for push, g := range driftingGraphs(rand.New(rand.NewSource(59)), 30, 12) {
+		if _, err := o.Push(g); err != nil {
+			t.Fatal(err)
+		}
+		if len(o.Transitions()) > 0 {
+			if want := SelectDelta(o.Transitions(), 1.5); o.Delta() != want {
+				t.Fatalf("push %d: cached δ %g, from-scratch δ %g", push, o.Delta(), want)
+			}
+		}
+	}
+}
+
+// Report and TransitionReport read the cached step functions; both must
+// equal re-thresholding the retained scores with Threshold (nil edge
+// sets included), for every retained transition after evictions, and
+// TransitionReport must refuse indices outside the window.
+func TestOnlineTransitionReportMatchesReport(t *testing.T) {
+	o := NewOnline(Config{Variant: VariantADJ}, 1.5)
+	o.SetMaxHistory(5)
+	for push, g := range driftingGraphs(rand.New(rand.NewSource(79)), 30, 14) {
+		if _, err := o.Push(g); err != nil {
+			t.Fatal(err)
+		}
+		rep := o.Report()
+		if want := Threshold(o.Transitions(), o.Delta()); !reflect.DeepEqual(rep, want) {
+			t.Fatalf("push %d: Report differs from Threshold over the window", push)
+		}
+		for _, tr := range rep.Transitions {
+			got, ok := o.TransitionReport(tr.T)
+			if !ok || !reflect.DeepEqual(got, tr) {
+				t.Fatalf("push %d: TransitionReport(%d) = %+v, %v; Report holds %+v", push, tr.T, got, ok, tr)
+			}
+		}
+		for _, tt := range []int{-1, o.Evicted() - 1, o.Evicted() + len(rep.Transitions)} {
+			if _, ok := o.TransitionReport(tt); ok {
+				t.Fatalf("push %d: TransitionReport(%d) outside window [%d, %d) reported ok",
+					push, tt, o.Evicted(), o.Evicted()+len(rep.Transitions))
+			}
+		}
+	}
+	if o.Evicted() == 0 {
+		t.Fatal("stream never evicted; the window checks ran on a full history only")
 	}
 }

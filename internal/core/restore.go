@@ -18,7 +18,7 @@ import (
 
 // OnlineState is the detector-visible state a durability layer must
 // persist to reconstruct an OnlineDetector exactly: everything else
-// (the δ-breakpoint cache, the threshold, scratch) is a deterministic
+// (the δ step-function cache, the threshold, scratch) is a deterministic
 // function of it. The commute oracle of the previous instance is
 // deliberately absent — it is rebuilt lazily on the next Push (see
 // RestoreOnline).
@@ -128,11 +128,7 @@ func RestoreOnline(cfg Config, l float64, st OnlineState) (*OnlineDetector, erro
 		o.steps[i] = newDeltaSteps(tr, &o.marks)
 	}
 	if len(o.steps) > 0 {
-		o.breaks = o.breaks[:0]
-		for i := range o.steps {
-			o.breaks = append(o.breaks, o.steps[i].residuals...)
-		}
-		o.delta = selectDeltaFromSteps(o.steps, o.breaks, o.l)
+		o.delta = selectDeltaFromSteps(o.steps, o.l)
 	}
 	if o.delta != st.Delta {
 		return nil, fmt.Errorf("core: restore: δ re-selected over the restored history is %g, journal says %g (journal does not match its own scores)",

@@ -34,6 +34,6 @@ func (o *OnlineDetector) SizeBytes() int64 {
 	for _, st := range o.steps {
 		b += int64(cap(st.residuals))*8 + int64(cap(st.nodes))*8
 	}
-	b += int64(cap(o.breaks))*8 + int64(cap(o.marks.mark))*8
+	b += int64(cap(o.marks.mark)) * 8
 	return b
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -85,7 +86,8 @@ func TestQuickSelectDeltaHitsBudget(t *testing.T) {
 		if maxPossible < target {
 			return delta == 0 // budget unreachable: δ=0 reports all
 		}
-		return got >= target
+		next := math.Nextafter(delta, math.Inf(1))
+		return got >= target && totalNodesAt(trs, next) < target
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)

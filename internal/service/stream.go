@@ -540,13 +540,7 @@ func (s *stream) report() core.Report {
 func (s *stream) transition(t int) (core.TransitionReport, bool) {
 	s.detMu.Lock()
 	defer s.detMu.Unlock()
-	for _, tr := range s.det.Transitions() {
-		if tr.T == t {
-			edges := core.AnomalousEdges(tr.Scores, s.det.Delta())
-			return core.TransitionReport{T: tr.T, Edges: edges, Nodes: core.AnomalousNodes(edges)}, true
-		}
-	}
-	return core.TransitionReport{}, false
+	return s.det.TransitionReport(t)
 }
 
 // info snapshots the stream's status.
