@@ -85,13 +85,15 @@ trace-smoke:
 	$(GO) run ./cmd/tracecheck /tmp/cad-trace-smoke.json
 
 # Short coverage-guided runs of every fuzzer: the edge-list parser
-# (NaN/Inf/negative-weight acceptance, allocation bombs) and the δ
+# (NaN/Inf/negative-weight acceptance, allocation bombs), the δ
 # selection (bit-exact against the merged-sort reference, edgesAt
-# against AnomalousEdges), beyond their checked-in seed corpora. CI runs
+# against AnomalousEdges) and the snapshot restore boundary (decode,
+# restore and one push never panic), beyond their seed corpora. CI runs
 # this.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReadSequence$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run=NONE -fuzz='^FuzzSelectDelta$$' -fuzztime=10s ./internal/core
+	$(GO) test -run=NONE -fuzz='^FuzzRestoreSnapshot$$' -fuzztime=10s ./internal/service
 
 # Memory-governance smoke: a small run of the hibernate benchmark
 # (create → hibernate → rehydrate on the real serving stack) plus the

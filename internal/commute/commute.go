@@ -252,8 +252,11 @@ type Embedding struct {
 
 	// Retained for incremental rebuilds (NewEmbedding): the graph
 	// this embedding belongs to, the solver whose preconditioner the
-	// next snapshot may patch, and the config fingerprint that gates
-	// reuse. g and lap are immutable once built.
+	// next snapshot may patch (nil on a restored per-instance
+	// embedding, which no build reuses), and the config fingerprint
+	// that gates reuse. g and lap are immutable once built, and so are
+	// z, y, resBound and normB: later builds copy them before writing,
+	// which is what lets State share them.
 	g     *graph.Graph
 	lap   *solver.Laplacian
 	key   embedKey

@@ -100,11 +100,17 @@ type OracleStats struct {
 	// PCGIterations / BlockIterations is the SpMM amortization the
 	// block path achieved.
 	BlockIterations int
+	// RebuiltPrev is true when the push first rebuilt the previous
+	// instance's oracle, which a restore without a persisted oracle
+	// leaves out (see RestoreOnline). Its cost is not in the other
+	// fields.
+	RebuiltPrev bool
 	// ColdEstimateIterations estimates what a cold build of the same
 	// oracle would have cost, extrapolated from the per-row cost of
-	// this stream's most recent cold build. For cold builds it equals
-	// PCGIterations, so accumulating both counters and taking the
-	// ratio gives the stream's overall saving.
+	// this stream's most recent cold build (0 for warm builds of a
+	// restored detector that has not built cold since). For cold
+	// builds it equals PCGIterations, so accumulating both counters
+	// and taking the ratio gives the stream's overall saving.
 	ColdEstimateIterations int
 }
 
@@ -233,13 +239,14 @@ func (o *OnlineDetector) PushTraced(g *graph.Graph, parent *obs.Span) (*Transiti
 	var oracle commute.Oracle
 	if o.cfg.Variant != VariantADJ {
 		sp := parent.StartChild("oracle")
-		// A restored detector (RestoreOnline) carries the previous graph
-		// but not its oracle; rebuild it before the new instance's build
-		// so scoring sees both sides of the transition. The rebuild is
-		// cold — there is nothing earlier to warm-start from — and uses
-		// the previous instance's derived seed, so for exact and
-		// per-instance-seeded regimes it is bit-identical to the oracle
-		// the crashed process held.
+		// A detector restored without its oracle (RestoreOnline with no
+		// persisted embedding) carries the previous graph only; rebuild
+		// the oracle before the new instance's build so scoring sees both
+		// sides of the transition. The rebuild is cold — there is nothing
+		// earlier to warm-start from — and uses the previous instance's
+		// derived seed, so for exact and per-instance-seeded regimes it is
+		// bit-identical to the oracle the crashed process held.
+		rebuilt := false
 		if o.t > 0 && o.prevOra == nil && o.prev != nil {
 			sp.SetBool("restored_prev", true)
 			po, _, err := o.buildOracle(o.prev, o.t-1, nil, sp)
@@ -250,6 +257,7 @@ func (o *OnlineDetector) PushTraced(g *graph.Graph, parent *obs.Span) (*Transiti
 				return nil, fmt.Errorf("core: restored oracle for instance %d: %w", o.t-1, err)
 			}
 			o.prevOra = po
+			rebuilt = true
 		}
 		var err error
 		oracle, o.lastStats, err = o.buildOracle(g, o.t, o.prevOra, sp)
@@ -259,6 +267,7 @@ func (o *OnlineDetector) PushTraced(g *graph.Graph, parent *obs.Span) (*Transiti
 			o.lastStats = OracleStats{}
 			return nil, fmt.Errorf("core: oracle for instance %d: %w", o.t, err)
 		}
+		o.lastStats.RebuiltPrev = rebuilt
 		sp.SetString("kind", o.lastStats.Kind)
 		sp.SetString("mode", o.lastStats.Mode)
 		sp.SetBool("warm", o.lastStats.Warm)

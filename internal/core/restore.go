@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
+	"dyngraph/internal/commute"
 	"dyngraph/internal/graph"
 )
 
@@ -14,14 +17,21 @@ import (
 // embedding streams, not bit-reproducible from a cold start — while
 // the δ-selection cache and the threshold itself are recomputed from
 // the restored history, which doubles as an integrity check against
-// the journaled δ.
+// the journaled δ. The previous instance's embedding travels too, when
+// the durability layer has it, so the next Push builds one oracle
+// rather than two.
+
+// ErrInvalidScore marks restored state holding a transition score
+// outside the detector's domain: a pair that is not 0 ≤ I < J < N, or a
+// score that is not finite and positive. Every score the detector
+// produces is inside it, so such a journal is corrupt.
+var ErrInvalidScore = errors.New("core: restore: invalid score")
 
 // OnlineState is the detector-visible state a durability layer must
 // persist to reconstruct an OnlineDetector exactly: everything else
 // (the δ step-function cache, the threshold, scratch) is a deterministic
-// function of it. The commute oracle of the previous instance is
-// deliberately absent — it is rebuilt lazily on the next Push (see
-// RestoreOnline).
+// function of it. The previous instance's commute oracle is optional
+// (Oracle): without it the next Push rebuilds the oracle from Prev.
 type OnlineState struct {
 	// N is the current vertex count (0 before the first instance;
 	// non-decreasing over the stream's life).
@@ -42,12 +52,21 @@ type OnlineState struct {
 	// VertexIDs is the external-ID mapping in dense-index order (nil
 	// for raw index streams; len == N when set).
 	VertexIDs []string
+	// Oracle is the embedding state of Prev's commute oracle, or nil.
+	// State sets it whenever the detector holds an embedding it can
+	// persist. It is nil for exact oracles (a pure function of Prev,
+	// cheap to rebuild), for sparsified streams (whose embeddings are
+	// built on a subsampled graph, not Prev), for the ADJ variant
+	// (which builds none) and before the first instance. Nil means the
+	// next Push rebuilds the oracle from Prev, as after a restore from
+	// a journal that does not carry it.
+	Oracle *commute.State
 }
 
 // State snapshots the detector for a durability layer. The history
 // slice is copied (the detector's eviction compacts its own backing
-// array in place), but the per-transition score slices are shared:
-// they are immutable once scored.
+// array in place), but the per-transition score slices and the
+// oracle's float blocks are shared: they are immutable once built.
 func (o *OnlineDetector) State() OnlineState {
 	st := OnlineState{
 		N:       o.n,
@@ -60,6 +79,10 @@ func (o *OnlineDetector) State() OnlineState {
 	if o.ids != nil {
 		st.VertexIDs = append([]string(nil), o.ids...)
 	}
+	if emb, ok := o.prevOra.(*commute.Embedding); ok && o.cfg.Commute.SparsifyTargetNNZ <= 0 {
+		ost := emb.State()
+		st.Oracle = &ost
+	}
 	return st
 }
 
@@ -71,21 +94,27 @@ func (o *OnlineDetector) State() OnlineState {
 // difference means the journal does not describe the detector it
 // claims to and the restore is refused.
 //
-// The previous instance's commute oracle is not part of the state; the
-// first Push after a restore rebuilds it from st.Prev before scoring.
-// That rebuild is bit-identical to the crashed process's oracle for
-// the exact regime and for per-instance-seeded embeddings (both are
-// pure functions of the graph and the derived seed); for
-// SharedProjections streams, whose oracles warm-start off each other,
-// it is a cold build that agrees with the lost warm one only to solver
-// tolerance — see docs/DURABILITY.md for the recovery semantics.
+// With st.Oracle set, the previous instance's embedding is reinstated
+// as it was (commute.Restore), so the next Push builds one oracle and
+// every regime continues bit-identically. A block that does not fit
+// st.Prev and cfg is refused. Without it, the first Push rebuilds the
+// oracle from st.Prev before scoring. That rebuild is bit-identical to
+// the lost oracle for the exact regime and for per-instance-seeded
+// embeddings (both are pure functions of the graph and the derived
+// seed); for SharedProjections streams, whose oracles warm-start off
+// each other, it is a cold build that agrees with the lost warm one
+// only to solver tolerance — see docs/DURABILITY.md.
+//
+// Every restored score must be in the detector's domain
+// (ErrInvalidScore), so a corrupt journal is refused rather than
+// indexing out of range later.
 func RestoreOnline(cfg Config, l float64, st OnlineState) (*OnlineDetector, error) {
 	if st.T < 0 || st.Evicted < 0 {
 		return nil, fmt.Errorf("core: restore: negative instance (%d) or eviction (%d) count", st.T, st.Evicted)
 	}
 	if st.T == 0 {
-		if len(st.History) != 0 || st.Prev != nil {
-			return nil, fmt.Errorf("core: restore: zero instances but %d transitions retained", len(st.History))
+		if len(st.History) != 0 || st.Prev != nil || st.Oracle != nil {
+			return nil, fmt.Errorf("core: restore: zero instances but %d transitions, a previous graph or an oracle retained", len(st.History))
 		}
 		return NewOnline(cfg, l), nil
 	}
@@ -112,6 +141,12 @@ func RestoreOnline(cfg Config, l float64, st OnlineState) (*OnlineDetector, erro
 		if tr.T != first+i {
 			return nil, fmt.Errorf("core: restore: transition %d at window position %d, want %d", tr.T, i, first+i)
 		}
+		for _, sc := range tr.Scores {
+			if sc.I < 0 || sc.I >= sc.J || sc.J >= st.N || !(sc.Score > 0) || math.IsInf(sc.Score, 1) {
+				return nil, fmt.Errorf("%w: transition %d pair (%d,%d) score %g for %d vertices",
+					ErrInvalidScore, tr.T, sc.I, sc.J, sc.Score, st.N)
+			}
+		}
 	}
 
 	o := NewOnline(cfg, l)
@@ -134,5 +169,32 @@ func RestoreOnline(cfg Config, l float64, st OnlineState) (*OnlineDetector, erro
 		return nil, fmt.Errorf("core: restore: δ re-selected over the restored history is %g, journal says %g (journal does not match its own scores)",
 			o.delta, st.Delta)
 	}
+	if st.Oracle != nil {
+		if cfg.Variant == VariantADJ || commute.UseExact(st.N, cfg.ExactCutoff) {
+			return nil, fmt.Errorf("core: restore: embedding state for a stream whose %d-vertex instances build no embedding", st.N)
+		}
+		ora, err := commute.Restore(st.Prev, *st.Oracle, cfg.instanceCommute(st.T-1))
+		if err != nil {
+			return nil, fmt.Errorf("core: restore: oracle of instance %d: %w", st.T-1, err)
+		}
+		o.prevOra = ora
+	}
 	return o, nil
+}
+
+// RestoredOracle reports how a detector returned by RestoreOnline
+// stands with the previous instance's oracle: "restored" when it holds
+// one, "rebuild" when its next Push must first rebuild it from the
+// previous graph, and "none" when no oracle is needed (no instance yet,
+// or the ADJ variant). After the next Push it reports "restored" or
+// "none".
+func (o *OnlineDetector) RestoredOracle() string {
+	switch {
+	case o.prevOra != nil:
+		return "restored"
+	case o.t > 0 && o.cfg.Variant != VariantADJ:
+		return "rebuild"
+	default:
+		return "none"
+	}
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"dyngraph/internal/commute"
 	"dyngraph/internal/graph"
 )
 
@@ -121,6 +124,24 @@ func TestRestoreOnlineRejectsInconsistentState(t *testing.T) {
 		}, "window position"},
 		{"tampered delta", func(st *OnlineState) { st.Delta *= 2 }, "does not match"},
 		{"nonempty zero-instance state", func(st *OnlineState) { st.T = 0; st.Prev = nil }, "zero instances"},
+		{"negative score index", badScore(func(sc *EdgeScore) { sc.I = -1 }), "invalid score"},
+		{"huge score index", badScore(func(sc *EdgeScore) { sc.J = 1 << 40 }), "invalid score"},
+		{"score pair beyond the vertex count", badScore(func(sc *EdgeScore) { sc.J = base.N }), "invalid score"},
+		{"unordered score pair", badScore(func(sc *EdgeScore) { sc.I, sc.J = sc.J, sc.I }), "invalid score"},
+		{"self-pair score", badScore(func(sc *EdgeScore) { sc.J = sc.I }), "invalid score"},
+		{"NaN score", badScore(func(sc *EdgeScore) { sc.Score = math.NaN() }), "invalid score"},
+		{"infinite score", badScore(func(sc *EdgeScore) { sc.Score = math.Inf(1) }), "invalid score"},
+		{"zero score", badScore(func(sc *EdgeScore) { sc.Score = 0 }), "invalid score"},
+		{"negative score", badScore(func(sc *EdgeScore) { sc.Score = -1 }), "invalid score"},
+		{"oracle state with zero instances", func(st *OnlineState) {
+			st.T, st.Prev, st.History, st.Oracle = 0, nil, nil, &commute.State{}
+		}, "zero instances"},
+		{"oracle state on an exact stream", func(st *OnlineState) {
+			st.Oracle = &commute.State{Z: make([]float64, 50*st.N)}
+		}, "build no embedding"},
+	}
+	if len(base.History) == 0 || len(base.History[0].Scores) == 0 {
+		t.Fatal("test premise broken: no scores to corrupt")
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,7 +155,20 @@ func TestRestoreOnlineRejectsInconsistentState(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
+			if tc.want == "invalid score" && !errors.Is(err, ErrInvalidScore) {
+				t.Fatalf("error %q is not ErrInvalidScore", err)
+			}
 		})
+	}
+}
+
+// badScore corrupts the first score of the oldest retained transition
+// (on a copy: score slices are shared with the detector).
+func badScore(f func(sc *EdgeScore)) func(st *OnlineState) {
+	return func(st *OnlineState) {
+		sc := append([]EdgeScore(nil), st.History[0].Scores...)
+		f(&sc[0])
+		st.History[0].Scores = sc
 	}
 }
 

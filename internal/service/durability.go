@@ -10,9 +10,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dyngraph/internal/commute"
 	"dyngraph/internal/core"
 	"dyngraph/internal/graph"
 	"dyngraph/internal/obs"
+	"dyngraph/internal/solver"
 	"dyngraph/internal/wal"
 )
 
@@ -253,6 +255,18 @@ func snapshotFromState(cfgJSON []byte, st *core.OnlineState, chain uint64) *wal.
 	if st.VertexIDs != nil {
 		snap.VertexIDs = append([]string(nil), st.VertexIDs...)
 	}
+	if o := st.Oracle; o != nil {
+		snap.Oracle = &wal.OracleData{
+			Z:        wal.Pack(o.Z),
+			Y:        wal.Pack(o.Y),
+			ResBound: wal.Pack(o.ResBound),
+			NormB:    wal.Pack(o.NormB),
+		}
+		if f := o.Forest; f != nil {
+			snap.Oracle.Parent = wal.Pack(f.Parent)
+			snap.Oracle.Order = wal.Pack(f.Order)
+		}
+	}
 	return snap
 }
 
@@ -280,7 +294,36 @@ func stateFromSnapshot(snap *wal.StreamSnapshot) (core.OnlineState, error) {
 		}
 		st.VertexIDs = append([]string(nil), snap.VertexIDs...)
 	}
+	if snap.Oracle != nil {
+		o, err := oracleFromWAL(snap.Oracle)
+		if err != nil {
+			return st, fmt.Errorf("snapshot oracle: %w", err)
+		}
+		st.Oracle = o
+	}
 	return st, nil
+}
+
+// oracleFromWAL unpacks a snapshot's oracle block. Only the packing is
+// checked here; core.RestoreOnline checks the blocks against the graph
+// and the stream's configuration.
+func oracleFromWAL(d *wal.OracleData) (*commute.State, error) {
+	var o commute.State
+	var parent, order []int32
+	var errs [6]error
+	o.Z, errs[0] = wal.Unpack[float64](d.Z)
+	o.Y, errs[1] = wal.Unpack[float64](d.Y)
+	o.ResBound, errs[2] = wal.Unpack[float64](d.ResBound)
+	o.NormB, errs[3] = wal.Unpack[float64](d.NormB)
+	parent, errs[4] = wal.Unpack[int32](d.Parent)
+	order, errs[5] = wal.Unpack[int32](d.Order)
+	if err := errors.Join(errs[:]...); err != nil {
+		return nil, err
+	}
+	if parent != nil || order != nil {
+		o.Forest = &solver.Forest{Parent: parent, Order: order}
+	}
+	return &o, nil
 }
 
 // --- recovery --------------------------------------------------------
@@ -370,7 +413,9 @@ func recoverStreamDir(dir string, fsync bool) (*recoveredStream, error) {
 				T: int(r.Instance) - 1, Scores: scoresFromWAL(r.Scores), Total: r.Total,
 			})
 		}
-		st.Prev = g
+		// The snapshot's oracle belongs to the instance this record
+		// supersedes; the restored detector rebuilds the new one.
+		st.Prev, st.Oracle = g, nil
 		st.Delta = r.Delta
 		st.Evicted = int(r.Evicted)
 		st.T++
@@ -522,7 +567,7 @@ func (s *Server) recoverOne(id, dir string) error {
 	s.cfg.Logger.Info("stream recovered",
 		"stream", id, "instances", rs.state.T, "transitions", len(rs.state.History),
 		"replayed_records", rs.replayed, "truncated_bytes", rs.truncated,
-		"hibernated", governed)
+		"hibernated", governed, "oracle", det.RestoredOracle())
 	return nil
 }
 

@@ -164,6 +164,7 @@ func (s *Server) rehydrate(id string) error {
 		det, err = core.RestoreOnline(coreCfg, cfg.L, rs.state)
 		if err == nil {
 			det.SetMaxHistory(cfg.MaxHistory)
+			restore.SetString("oracle", det.RestoredOracle())
 			restore.End()
 			root.End()
 			j := s.journalFor(id, rs)

@@ -311,6 +311,9 @@ func (s *stream) run() {
 			s.metrics.add("cadd_push_errors_total", labels("stream", s.id), 1)
 			s.logger.Error("push failed", "instance", j.instance, "request_id", j.pc.requestID, "err", err)
 		}
+		if ost.RebuiltPrev {
+			s.metrics.add("cadd_oracle_rebuilds_total", labels("stream", s.id), 1)
+		}
 		if ost.Built {
 			s.metrics.add("cadd_oracle_builds_total", labels("stream", s.id, "mode", ost.Mode), 1)
 			if ost.Kind == "embedding" {

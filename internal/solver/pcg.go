@@ -153,8 +153,10 @@ func resolvePrecond(g *graph.Graph, opt Options) Precond {
 // untraced.
 type Build struct {
 	// Prev is the previous snapshot's solver, whose setup New shares or
-	// patches where sound; nil builds cold. Neither Prev nor PrevG is
-	// modified.
+	// patches where sound; nil builds cold. Prev hands its blocked-solve
+	// scratch over to the new solver (adoptBlockScratch; it re-allocates
+	// lazily should it solve again) and is otherwise unmodified, as is
+	// PrevG.
 	Prev *Laplacian
 	// PrevG is the graph Prev was built for.
 	PrevG *graph.Graph
@@ -208,7 +210,7 @@ func build(g *graph.Graph, opt Options, b Build) *Laplacian {
 	prev := b.Prev
 	precond := resolvePrecond(g, opt)
 	if prev == nil || b.PrevG == nil || prev.n != g.N() || precond != prev.precond {
-		return buildCold(g, opt, precond)
+		return buildCold(g, opt, precond, nil)
 	}
 	diff := b.Diff
 	if len(diff) == 0 {
@@ -234,11 +236,11 @@ func build(g *graph.Graph, opt Options, b Build) *Laplacian {
 		}
 	}
 	if precond != PrecondTree {
-		return buildCold(g, opt, precond)
+		return buildCold(g, opt, precond, nil)
 	}
 	tree, ok := prev.tree.patched(g, diff)
 	if !ok {
-		return buildCold(g, opt, precond)
+		return buildCold(g, opt, precond, nil)
 	}
 	s := &Laplacian{
 		n:         prev.n,
@@ -256,9 +258,39 @@ func build(g *graph.Graph, opt Options, b Build) *Laplacian {
 	return s
 }
 
+// Restore rebuilds the solver a persisted embedding was solved on: the
+// cold build of g, except that a tree preconditioner adopts the forest
+// f (saved by Laplacian.Forest) instead of running Kruskal. Everything
+// else a solver holds — the CSR Laplacian, the component labels, the
+// Jacobi diagonal, the forest's edge weights — is a pure function of g,
+// and the reuse paths of New keep it so (patched values are written,
+// never accumulated), so the result solves bit-identically to the
+// solver f was taken from. f must be given exactly when g resolves to
+// the tree preconditioner, and must be a spanning forest of g; anything
+// else is an error.
+func Restore(g *graph.Graph, opt Options, f *Forest) (*Laplacian, error) {
+	precond := resolvePrecond(g, opt)
+	if (f != nil) != (precond == PrecondTree) {
+		return nil, fmt.Errorf("solver: restore: forest given = %v for the %s preconditioner", f != nil, precond)
+	}
+	var tree *spanningTree
+	if f != nil {
+		var err error
+		if tree, err = f.tree(g); err != nil {
+			return nil, err
+		}
+	}
+	s := buildCold(g, opt, precond, tree)
+	if tree != nil && len(tree.compSize) != len(s.size) {
+		return nil, fmt.Errorf("solver: restore: forest has %d trees for %d components", len(tree.compSize), len(s.size))
+	}
+	return s, nil
+}
+
 // buildCold builds the solver for g from scratch with the resolved
-// preconditioner.
-func buildCold(g *graph.Graph, opt Options, precond Precond) *Laplacian {
+// preconditioner. A tree preconditioner uses tree when it is non-nil
+// (Restore) and Kruskal's forest otherwise.
+func buildCold(g *graph.Graph, opt Options, precond Precond, tree *spanningTree) *Laplacian {
 	n := g.N()
 	comp, ncomp := g.Components()
 	size := make([]int, ncomp)
@@ -282,7 +314,10 @@ func buildCold(g *graph.Graph, opt Options, precond Precond) *Laplacian {
 			}
 		}
 	case PrecondTree:
-		s.tree = maxWeightSpanningTree(g)
+		if tree == nil {
+			tree = maxWeightSpanningTree(g)
+		}
+		s.tree = tree
 	}
 	s.allocScratch()
 	return s

@@ -5,8 +5,10 @@ package solver
 // CSR Laplacian, component bookkeeping, the preconditioner (Jacobi
 // diagonal or spanning forest), and the single- and multi-RHS scratch
 // blocks that persist across solves. These buffers are exactly
-// what hibernating a stream releases — the Laplacian is rebuilt from
-// the journaled graph on rehydrate, not serialized.
+// what hibernating a stream releases. Rehydration rebuilds them from
+// the journaled graph (Restore); only a tree preconditioner's forest
+// is serialized (Forest), because a patched forest is not a function of
+// the graph.
 func (s *Laplacian) SizeBytes() int64 {
 	if s == nil {
 		return 0

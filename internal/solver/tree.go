@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"sort"
 
 	"dyngraph/internal/graph"
@@ -79,6 +80,85 @@ func maxWeightSpanningTree(g *graph.Graph) *spanningTree {
 		t.compSize = append(t.compSize, size)
 	}
 	return t
+}
+
+// Forest is the persistable part of a tree preconditioner: parent[v]
+// (-1 for roots) and the root-first BFS order, as int32. The forest's
+// edge weights and component labels are functions of the graph, so they
+// are not part of it. A cold build picks its forest by Kruskal, but a
+// stream of reweights keeps patching its first one (see patched), and
+// that forest is in general not the one Kruskal would pick for the
+// current graph. A different forest changes the PCG iterates, so a
+// restore adopts the persisted forest (Restore) rather than rebuilding
+// one.
+type Forest struct {
+	Parent []int32
+	Order  []int32
+}
+
+// Forest returns a copy of s's spanning forest, or nil when s is nil or
+// does not use the tree preconditioner.
+func (s *Laplacian) Forest() *Forest {
+	if s == nil || s.tree == nil {
+		return nil
+	}
+	f := &Forest{Parent: make([]int32, s.n), Order: make([]int32, s.n)}
+	for v, p := range s.tree.parent {
+		f.Parent[v] = int32(p)
+	}
+	for i, v := range s.tree.order {
+		f.Order[i] = int32(v)
+	}
+	return f
+}
+
+// tree rebuilds the spanning tree f describes over g, reading the edge
+// weights from g. It refuses a forest that is not one of g: the order
+// must be a permutation of g's vertices, and every non-root's parent
+// must be in range, listed before it and joined to it by an edge of g.
+// Component ids follow the order of the roots, as in
+// maxWeightSpanningTree. Restore checks that there is one tree per
+// component of g.
+func (f *Forest) tree(g *graph.Graph) (*spanningTree, error) {
+	n := g.N()
+	if len(f.Parent) != n || len(f.Order) != n {
+		return nil, fmt.Errorf("solver: forest has %d parents and %d order entries for %d vertices", len(f.Parent), len(f.Order), n)
+	}
+	t := &spanningTree{
+		n:        n,
+		parent:   make([]int, n),
+		upWeight: make([]float64, n),
+		order:    make([]int, n),
+		comp:     make([]int, n),
+	}
+	for i := range t.comp {
+		t.comp[i] = -1 // not yet listed
+	}
+	for idx, v32 := range f.Order {
+		v := int(v32)
+		if v < 0 || v >= n || t.comp[v] >= 0 {
+			return nil, fmt.Errorf("solver: forest order is not a permutation (entry %d is %d)", idx, v)
+		}
+		t.order[idx] = v
+		p := int(f.Parent[v])
+		t.parent[v] = p
+		if p == -1 {
+			t.comp[v] = len(t.compSize)
+			t.compSize = append(t.compSize, 1)
+			continue
+		}
+		if p < 0 || p >= n || t.comp[p] < 0 {
+			return nil, fmt.Errorf("solver: forest parent %d of vertex %d is not listed before it", p, v)
+		}
+		w := g.Weight(v, p)
+		if !(w > 0) {
+			return nil, fmt.Errorf("solver: forest edge (%d,%d) is not an edge of the graph", v, p)
+		}
+		t.upWeight[v] = w
+		t.comp[v] = t.comp[p]
+		t.compSize[t.comp[v]]++
+	}
+	return t, nil
 }
 
 // patched returns a copy of t that is a valid spanning forest of g,

@@ -72,6 +72,17 @@ type PushRecord struct {
 	Digest uint64
 }
 
+// OracleData is the journaled form of the previous instance's
+// embedding state (commute.State): every block is packed little-endian,
+// float64 for Z, Y, ResBound and NormB and int32 for the spanning
+// forest's Parent and Order. Packed bytes gob-encode as one copy,
+// where a gob []float64 writes each value separately. Absent blocks
+// are nil.
+type OracleData struct {
+	Z, Y, ResBound, NormB []byte
+	Parent, Order         []byte
+}
+
 // StreamSnapshot is the compact snapshot that makes the log finite: the
 // full recoverable state of one stream at an instant. Config is the
 // owner's opaque stream configuration (the serving layer stores its
@@ -97,9 +108,64 @@ type StreamSnapshot struct {
 	// raw index streams; len == N when set). A gob-added field: old
 	// logs decode with it nil.
 	VertexIDs []string
+	// Oracle is the embedding state of Prev's commute oracle, so a
+	// restore scores the next instance without rebuilding Prev's. It
+	// describes Prev only: records replayed past the snapshot move Prev
+	// on and the block no longer applies. Nil when the stream keeps no
+	// persistable embedding (exact or sparsified oracles, the ADJ
+	// variant). A gob-added field: snapshots written before it decode
+	// with it nil, and their streams rebuild the oracle on the first
+	// push.
+	Oracle *OracleData
 	// Digest is the state-digest chain value at the snapshot instant;
 	// WAL records appended after the snapshot chain from it.
 	Digest uint64
+}
+
+// Pack packs v little-endian, as OracleData stores its blocks; nil
+// stays nil.
+func Pack[T float64 | int32](v []T) []byte {
+	if v == nil {
+		return nil
+	}
+	var zero T
+	b := make([]byte, 0, binary.Size(zero)*len(v))
+	switch v := any(v).(type) {
+	case []float64:
+		for _, x := range v {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+	case []int32:
+		for _, x := range v {
+			b = binary.LittleEndian.AppendUint32(b, uint32(x))
+		}
+	}
+	return b
+}
+
+// Unpack is the inverse of Pack. A length that is not a whole number of
+// values is an error.
+func Unpack[T float64 | int32](b []byte) ([]T, error) {
+	if b == nil {
+		return nil, nil
+	}
+	var zero T
+	size := binary.Size(zero)
+	if len(b)%size != 0 {
+		return nil, fmt.Errorf("wal: packed block of %d bytes is not a whole number of %d-byte values", len(b), size)
+	}
+	v := make([]T, len(b)/size)
+	switch v := any(v).(type) {
+	case []float64:
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	case []int32:
+		for i := range v {
+			v[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	}
+	return v, nil
 }
 
 // EncodeRecord serializes a push record.

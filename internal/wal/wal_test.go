@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -289,5 +291,45 @@ func TestStateDigestChainsAndDiscriminates(t *testing.T) {
 		if d == d1 {
 			t.Fatal("digest collision across distinct states")
 		}
+	}
+}
+
+// TestOracleBlocksRoundTrip: the packed oracle blocks come back bit for
+// bit through Pack, a snapshot's gob encoding and Unpack; absent blocks
+// stay absent, and a block that is not a whole number of values is
+// refused.
+func TestOracleBlocksRoundTrip(t *testing.T) {
+	z := []float64{0, -1.5, math.Inf(1), math.Float64frombits(0x7ff8000000000001), math.SmallestNonzeroFloat64}
+	parent := []int32{-1, 0, 0, 1}
+	s := &StreamSnapshot{N: 4, Instances: 1, Oracle: &OracleData{Z: Pack(z), Parent: Pack(parent)}}
+	payload, err := EncodeSnapshot(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeSnapshot(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotZ, err := Unpack[float64](back.Oracle.Z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range z {
+		if math.Float64bits(gotZ[i]) != math.Float64bits(z[i]) {
+			t.Fatalf("z[%d] = %x, want %x", i, math.Float64bits(gotZ[i]), math.Float64bits(z[i]))
+		}
+	}
+	gotParent, err := Unpack[int32](back.Oracle.Parent)
+	if err != nil || !slices.Equal(gotParent, parent) {
+		t.Fatalf("parent = %v (%v), want %v", gotParent, err, parent)
+	}
+	if y, err := Unpack[float64](back.Oracle.Y); y != nil || err != nil || Pack[float64](nil) != nil {
+		t.Fatalf("absent block unpacked to %v, %v", y, err)
+	}
+	if _, err := Unpack[float64](back.Oracle.Z[:11]); err == nil {
+		t.Fatal("11-byte float64 block accepted")
+	}
+	if _, err := Unpack[int32](back.Oracle.Parent[:3]); err == nil {
+		t.Fatal("3-byte int32 block accepted")
 	}
 }
