@@ -51,30 +51,29 @@ define smoke-tests
 	$(GO) test -race -run '$(1)' -count=1 $(2)
 endef
 
-# Full Go benchmark pass, then the streaming cold-vs-warm and the
-# blocked-build experiments with their machine-readable artifacts.
+# Full Go benchmark pass. The solver counters (PCG and block
+# iterations, base solves, allocations per push) are gated by
+# TestPushCounters against BENCH_counters.json; after an intentional
+# change regenerate that file with
+#   go test ./internal/core -run '^TestPushCounters$' -update
+# Wall-clock end to end is pushbench's (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/cadbench -exp stream -benchout BENCH_stream.json
-	$(GO) run ./cmd/cadbench -exp block -benchout BENCH_block.json
-	$(GO) run ./cmd/cadbench -exp hibernate -benchout BENCH_hibernate.json
-	$(GO) run ./cmd/cadbench -exp incremental -n 5000 -benchout BENCH_incremental.json
-	$(GO) run ./cmd/cadbench -exp cluster -n 5000 -benchout BENCH_cluster.json
 
-# One-iteration compile-and-run of every benchmark plus a small-size
-# run of the block experiment: catches bit-rotted benchmark code
-# without paying for real measurements. CI runs this.
+# One-iteration compile-and-run of every benchmark: catches bit-rotted
+# benchmark code without paying for real measurements. CI runs this.
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-	$(GO) run ./cmd/cadbench -exp block -sizes 300
 
-# Incremental-updates smoke: a small run of the warm-vs-Woodbury push
-# benchmark plus the incremental path's differential test suite — the
-# oracle-agreement, fallback and verify-skip pins in commute/core and
-# the end-to-end streaming variant in service. CI runs this.
+# Incremental-updates smoke: the incremental path's differential test
+# suite — the oracle-agreement, fallback and verify-skip pins in
+# commute/core and the end-to-end streaming variant in service — plus
+# the solver-counter gate (TestPushCounters: warm vs Woodbury pushes,
+# every single-edge push on the Woodbury path), in a call of its own so
+# the -list guard fails if it is renamed. CI runs this.
 incremental-smoke:
-	$(GO) run ./cmd/cadbench -exp incremental -n 1000
 	$(call smoke-tests,TestIncremental|TestOnlineIncremental|TestWoodbury|TestIncidence,./internal/solver ./internal/commute ./internal/core ./internal/service)
+	$(call smoke-tests,^TestPushCounters$$,./internal/core)
 
 # End-to-end check of the tracing pipeline: run cadrun over the toy
 # dataset with -trace-out and validate the Chrome trace_event document
@@ -87,21 +86,21 @@ trace-smoke:
 # Short coverage-guided runs of every fuzzer: the edge-list parser
 # (NaN/Inf/negative-weight acceptance, allocation bombs), the δ
 # selection (bit-exact against the merged-sort reference, edgesAt
-# against AnomalousEdges) and the snapshot restore boundary (decode,
-# restore and one push never panic), beyond their seed corpora. CI runs
-# this.
+# against AnomalousEdges), the snapshot restore boundary (decode,
+# restore and one push never panic) and the push body (decode and graph
+# build never panic, vertex counts past the cap are refused), beyond
+# their seed corpora. CI runs this.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReadSequence$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run=NONE -fuzz='^FuzzSelectDelta$$' -fuzztime=10s ./internal/core
 	$(GO) test -run=NONE -fuzz='^FuzzRestoreSnapshot$$' -fuzztime=10s ./internal/service
+	$(GO) test -run=NONE -fuzz='^FuzzSnapshotBody$$' -fuzztime=10s ./internal/service
 
-# Memory-governance smoke: a small run of the hibernate benchmark
-# (create → hibernate → rehydrate on the real serving stack) plus the
-# hibernation test suite — the byte-identical /report equivalence, the
-# governor's watermark and idle policies, and the crash-mid-hibernation
-# cycle. CI runs this.
+# Memory-governance smoke: the hibernation test suite — create → push
+# → hibernate → rehydrate on the real serving stack with byte-identical
+# /report equivalence, the governor's watermark and idle policies, and
+# the crash-mid-hibernation cycle. CI runs this.
 hibernate-smoke:
-	$(GO) run ./cmd/cadbench -exp hibernate -streams 100
 	$(call smoke-tests,TestHibernat|TestGovernor|TestCrashDuringHibernationChurn,./internal/service ./cmd/cadd)
 
 # Cluster smoke: real cadd subprocesses — three ring nodes plus the

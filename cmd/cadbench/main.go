@@ -4,7 +4,7 @@
 // Usage:
 //
 //	cadbench -exp table1|table2|fig2|fig3|fig4|fig5|fig6|verbatim|scale|
-//	              stream|block|incremental|hibernate|cluster|ablation|distance|enron|dblp|precip|all [flags]
+//	              ablation|distance|enron|dblp|precip|all [flags]
 //
 // The quantitative experiments accept -n, -trials, -k and -seed so you
 // can trade fidelity against runtime; the defaults are sized to finish
@@ -20,12 +20,9 @@ import (
 	"strconv"
 	"strings"
 
-	"runtime/pprof"
-
 	"dyngraph/internal/asciiplot"
 	"dyngraph/internal/datagen"
 	"dyngraph/internal/experiments"
-	"dyngraph/internal/obs"
 )
 
 func main() {
@@ -35,12 +32,9 @@ func main() {
 // benchConfig carries the parsed flags into run.
 type benchConfig struct {
 	n, trials, k  int
-	streams       int
 	seed          int64
 	sizes, family string
 	detail, plot  bool
-	benchout      string
-	traceOut      string
 	out           io.Writer
 }
 
@@ -50,38 +44,18 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cadbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp      = fs.String("exp", "all", "experiment id: table1, table2, fig2, fig3, fig4, fig5, fig6, verbatim, scale, stream, block, incremental, hibernate, cluster, ablation, distance, enron, dblp, precip, or all")
-		n        = fs.Int("n", 500, "synthetic GMM size for fig5/fig6 (paper: 2000)")
-		trials   = fs.Int("trials", 10, "realizations to average for fig5/fig6 (paper: 100)")
-		k        = fs.Int("k", 50, "commute-embedding dimension")
-		seed     = fs.Int64("seed", 1, "master random seed")
-		sizes    = fs.String("sizes", "", "comma-separated n values for -exp scale (default 1000,5000,20000,50000)")
-		detail   = fs.Bool("detail", false, "print per-transition / per-year detail tables")
-		family   = fs.String("family", "uniform", "graph family for -exp scale: uniform, preferential or smallworld")
-		plot     = fs.Bool("plot", false, "render ASCII charts alongside the tables (fig6 ROC, enron timeline)")
-		streams  = fs.Int("streams", 0, "stream count for -exp hibernate/cluster (0 = the experiment default)")
-		benchout = fs.String("benchout", "", "write -exp stream/block/incremental/hibernate/cluster results as JSON to this file (e.g. BENCH_stream.json)")
-		traceOut = fs.String("trace-out", "", "write -exp stream/incremental per-push pipeline traces to this file as Chrome trace_event JSON")
-		cpuprof  = fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
+		exp    = fs.String("exp", "all", "experiment id: table1, table2, fig2, fig3, fig4, fig5, fig6, verbatim, scale, ablation, distance, enron, dblp, precip, or all")
+		n      = fs.Int("n", 500, "synthetic GMM size for fig5/fig6 (paper: 2000)")
+		trials = fs.Int("trials", 10, "realizations to average for fig5/fig6 (paper: 100)")
+		k      = fs.Int("k", 50, "commute-embedding dimension")
+		seed   = fs.Int64("seed", 1, "master random seed")
+		sizes  = fs.String("sizes", "", "comma-separated n values for -exp scale (default 1000,5000,20000,50000)")
+		detail = fs.Bool("detail", false, "print per-transition / per-year detail tables")
+		family = fs.String("family", "uniform", "graph family for -exp scale: uniform, preferential or smallworld")
+		plot   = fs.Bool("plot", false, "render ASCII charts alongside the tables (fig6 ROC, enron timeline)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
-		if err != nil {
-			fmt.Fprintf(stderr, "cadbench: -cpuprofile: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			fmt.Fprintf(stderr, "cadbench: -cpuprofile: %v\n", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
 	}
 
 	ids := []string{*exp}
@@ -89,9 +63,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		ids = []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "verbatim", "scale", "ablation", "distance", "enron", "dblp", "precip"}
 	}
 	cfg := benchConfig{
-		n: *n, trials: *trials, k: *k, streams: *streams, seed: *seed,
+		n: *n, trials: *trials, k: *k, seed: *seed,
 		sizes: *sizes, family: *family, detail: *detail, plot: *plot,
-		benchout: *benchout, traceOut: *traceOut, out: stdout,
+		out: stdout,
 	}
 	for _, id := range ids {
 		if err := run(id, cfg); err != nil {
@@ -239,86 +213,6 @@ func run(id string, cfg benchConfig) error {
 			return err
 		}
 		return res10.Table().Fprint(cfg.out)
-	case "stream":
-		scfg := experiments.StreamConfig{K: 12, Seed: seed}
-		var err error
-		if scfg.Sizes, err = parseSizes(sizes); err != nil {
-			return err
-		}
-		if cfg.traceOut != "" {
-			// Generous capacity: every timed push across the sweep.
-			scfg.Tracer = obs.NewTracer(4096)
-		}
-		res, err := experiments.Stream(scfg)
-		if err != nil {
-			return err
-		}
-		if err := res.Table().Fprint(cfg.out); err != nil {
-			return err
-		}
-		if scfg.Tracer != nil {
-			if err := writeTraceOut(cfg, scfg.Tracer); err != nil {
-				return err
-			}
-		}
-		return writeBenchout(cfg, res.WriteJSON)
-	case "incremental":
-		icfg := experiments.IncrementalConfig{K: 12, Seed: seed}
-		if cfg.n != 500 { // flag changed from its default
-			icfg.N = cfg.n
-		}
-		if cfg.traceOut != "" {
-			icfg.Tracer = obs.NewTracer(4096)
-		}
-		res, err := experiments.Incremental(icfg)
-		if err != nil {
-			return err
-		}
-		if err := res.Table().Fprint(cfg.out); err != nil {
-			return err
-		}
-		if icfg.Tracer != nil {
-			if err := writeTraceOut(cfg, icfg.Tracer); err != nil {
-				return err
-			}
-		}
-		return writeBenchout(cfg, res.WriteJSON)
-	case "hibernate":
-		res, err := experiments.Hibernate(experiments.HibernateConfig{
-			Streams: cfg.streams, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		if err := res.Table().Fprint(cfg.out); err != nil {
-			return err
-		}
-		return writeBenchout(cfg, res.WriteJSON)
-	case "cluster":
-		res, err := experiments.Cluster(experiments.ClusterConfig{
-			N: cfg.n, Streams: cfg.streams, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		if err := res.WriteText(cfg.out); err != nil {
-			return err
-		}
-		return writeBenchout(cfg, res.WriteJSON)
-	case "block":
-		bcfg := experiments.BlockConfig{Seed: seed}
-		var err error
-		if bcfg.Sizes, err = parseSizes(sizes); err != nil {
-			return err
-		}
-		res, err := experiments.Block(bcfg)
-		if err != nil {
-			return err
-		}
-		if err := res.Table().Fprint(cfg.out); err != nil {
-			return err
-		}
-		return writeBenchout(cfg, res.WriteJSON)
 	case "enron":
 		res, err := experiments.Enron(experiments.EnronConfig{Seed: seed})
 		if err != nil {
@@ -397,43 +291,4 @@ func parseSizes(sizes string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// writeTraceOut dumps the tracer's retained push traces as a Chrome
-// trace_event document at -trace-out.
-func writeTraceOut(cfg benchConfig, tracer *obs.Tracer) error {
-	f, err := os.Create(cfg.traceOut)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChrome(f, tracer.Traces()); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out, "wrote %d traces to %s\n", len(tracer.Traces()), cfg.traceOut)
-	return nil
-}
-
-// writeBenchout writes the experiment's JSON record to -benchout, when
-// set.
-func writeBenchout(cfg benchConfig, write func(io.Writer) error) error {
-	if cfg.benchout == "" {
-		return nil
-	}
-	f, err := os.Create(cfg.benchout)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out, "wrote %s\n", cfg.benchout)
-	return nil
 }

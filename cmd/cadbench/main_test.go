@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -31,49 +28,18 @@ func TestBenchToyExperiments(t *testing.T) {
 	}
 }
 
-func TestBenchStreamWritesJSON(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	path := filepath.Join(t.TempDir(), "BENCH_stream.json")
-	code := realMain([]string{"-exp", "stream", "-sizes", "120,200", "-benchout", path}, &out, &errBuf)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errBuf.String())
-	}
-	if !strings.Contains(out.String(), "iter saving") {
-		t.Fatalf("stream table missing saving column:\n%s", out.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec struct {
-		Experiment string `json:"experiment"`
-		Results    []struct {
-			N               int     `json:"n"`
-			Mode            string  `json:"mode"`
-			NsPerPush       float64 `json:"ns_per_push"`
-			PCGItersPerPush float64 `json:"pcg_iters_per_push"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		t.Fatalf("benchout is not valid JSON: %v\n%s", err, raw)
-	}
-	if rec.Experiment != "stream" || len(rec.Results) != 4 {
-		t.Fatalf("unexpected benchout record: %+v", rec)
-	}
-	for _, c := range rec.Results {
-		if c.NsPerPush <= 0 || c.PCGItersPerPush <= 0 {
-			t.Fatalf("cell not populated: %+v", c)
-		}
-	}
-}
-
+// TestBenchUnknownExperiment also pins that the retired serving
+// experiments stay retired: their counters live in internal/core's
+// TestPushCounters.
 func TestBenchUnknownExperiment(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if code := realMain([]string{"-exp", "fig99"}, &out, &errBuf); code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	if !strings.Contains(errBuf.String(), "unknown experiment") {
-		t.Fatalf("stderr: %s", errBuf.String())
+	for _, exp := range []string{"fig99", "stream"} {
+		var out, errBuf bytes.Buffer
+		if code := realMain([]string{"-exp", exp}, &out, &errBuf); code != 1 {
+			t.Fatalf("%s: exit %d, want 1", exp, code)
+		}
+		if !strings.Contains(errBuf.String(), "unknown experiment") {
+			t.Fatalf("%s: stderr: %s", exp, errBuf.String())
+		}
 	}
 }
 
@@ -150,40 +116,5 @@ func TestBenchDistanceTiny(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "shortest-path") {
 		t.Fatal("distance table missing")
-	}
-}
-
-func TestBenchStreamTraceOut(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	path := filepath.Join(t.TempDir(), "trace.json")
-	code := realMain([]string{"-exp", "stream", "-sizes", "120", "-trace-out", path}, &out, &errBuf)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errBuf.String())
-	}
-	if !strings.Contains(out.String(), "wrote") || !strings.Contains(out.String(), "traces to") {
-		t.Fatalf("missing trace confirmation line:\n%s", out.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name  string `json:"name"`
-			Phase string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("trace-out is not valid JSON: %v", err)
-	}
-	var pushes int
-	for _, ev := range doc.TraceEvents {
-		if ev.Phase == "X" && ev.Name == "push" {
-			pushes++
-		}
-	}
-	// 13 pushes per mode (1 cold + 12 timed) × 2 modes for one size.
-	if pushes < 2 {
-		t.Fatalf("trace document has %d push events, want at least one per mode", pushes)
 	}
 }

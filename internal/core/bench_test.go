@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dyngraph/internal/commute"
@@ -141,39 +142,55 @@ func BenchmarkNodeScores(b *testing.B) {
 	}
 }
 
-// benchSnapshots builds a sparse base graph (spanning path + ~2n random
-// edges) and variants of it with a handful of edge edits each — the
-// sparse-stream shape the incremental pipeline targets.
-func benchSnapshots(n, count int) []*graph.Graph {
-	rng := rand.New(rand.NewSource(71))
-	base := graph.NewBuilder(n)
+// benchBase draws the sparse base graph of the streaming benchmarks: a
+// spanning path over a random permutation plus ~2n random chords.
+func benchBase(rng *rand.Rand, n int) *graph.Graph {
+	b := graph.NewBuilder(n)
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
-		base.AddEdge(perm[i-1], perm[i], 1)
+		b.AddEdge(perm[i-1], perm[i], 1)
 	}
 	for k := 0; k < 2*n; k++ {
 		i, j := rng.Intn(n), rng.Intn(n)
 		if i != j {
-			base.SetEdge(i, j, 0.5+rng.Float64())
+			b.SetEdge(i, j, 0.5+rng.Float64())
 		}
 	}
-	g0 := base.MustBuild()
-	out := make([]*graph.Graph, count)
-	out[0] = g0
-	edges := g0.Edges()
-	for v := 1; v < count; v++ {
-		b := graph.NewBuilder(n)
-		for _, e := range edges {
-			b.SetEdge(e.I, e.J, e.W)
-		}
-		// A handful of ±10% reweights of existing edges — the "same
-		// actors, drifting intensities" regime of an email or traffic
-		// stream, where consecutive instances are strongly correlated.
+	return b.MustBuild()
+}
+
+// benchSnapshots builds a base graph (benchBase) and count-1 variants
+// of it, each four ±10% reweights of existing edges away from the base —
+// the "same actors, drifting intensities" regime of an email or traffic
+// stream, where consecutive instances are strongly correlated.
+func benchSnapshots(seed int64, n, count int) []*graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	out := []*graph.Graph{benchBase(rng, n)}
+	edges := out[0].Edges()
+	for len(out) < count {
+		es := slices.Clone(edges)
 		for k := 0; k < 4; k++ {
-			e := edges[rng.Intn(len(edges))]
-			b.SetEdge(e.I, e.J, e.W*(0.9+0.2*rng.Float64()))
+			e := rng.Intn(len(edges))
+			es[e].W = edges[e].W * (0.9 + 0.2*rng.Float64())
 		}
-		out[v] = b.MustBuild()
+		out = append(out, graph.MustFromEdges(n, es, nil))
+	}
+	return out
+}
+
+// benchChain builds the same base graph as benchSnapshots, then a chain
+// in which each snapshot reweights exactly edits distinct edges of its
+// predecessor by ±10%. Reweights keep the support fixed, so every
+// transition is a low-rank correction of the previous Laplacian.
+func benchChain(seed int64, n, edits, count int) []*graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	out := []*graph.Graph{benchBase(rng, n)}
+	for len(out) < count {
+		edges := out[len(out)-1].Edges()
+		for _, e := range rng.Perm(len(edges))[:edits] {
+			edges[e].W *= 0.9 + 0.2*rng.Float64()
+		}
+		out = append(out, graph.MustFromEdges(n, edges, nil))
 	}
 	return out
 }
@@ -198,7 +215,7 @@ func benchSnapshots(n, count int) []*graph.Graph {
 // benchmark measures the steady-state per-push cost of each mode.
 func BenchmarkOnlinePushColdVsWarm(b *testing.B) {
 	for _, n := range []int{1000, 5000, 20000} {
-		snaps := benchSnapshots(n, 9)
+		snaps := benchSnapshots(71, n, 9)
 		for _, mode := range []string{"cold", "warm"} {
 			cfg := Config{
 				Commute: commute.Config{

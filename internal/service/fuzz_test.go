@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 
@@ -13,6 +14,44 @@ import (
 // so one run stays small in memory. Bounding N on disk is a separate
 // concern from the restore boundary fuzzed here.
 const maxFuzzVertices = 1 << 12
+
+// FuzzSnapshotBody feeds bytes through the push body boundary the way
+// handlePostSnapshot does: JSON decode into a Snapshot, then Graph() in
+// raw index mode, or validateIDs plus graphWithTable on a fresh vertex
+// table in external-ID mode. Whatever the bytes, nothing may panic; an
+// accepted body yields a graph with its declared vertex count, and one
+// declaring more than maxSnapshotVertices is refused. Bodies declaring
+// between maxFuzzVertices and maxSnapshotVertices vertices are skipped,
+// so one run stays small in memory.
+func FuzzSnapshotBody(f *testing.F) {
+	f.Add([]byte(`{"n":4611686018427387904,"edges":[]}`))
+	f.Add([]byte(`{"n":3,"edges":[{"i":0,"j":1,"w":1},{"i":1,"j":2,"w":2.5}],"labels":["a","b","c"]}`))
+	f.Add([]byte(`{"n":3,"ids":["ann","bob","cat"],"edges":[{"i":0,"j":2,"w":1}]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var snap Snapshot
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&snap); err != nil {
+			return
+		}
+		if snap.N > maxFuzzVertices && snap.N <= maxSnapshotVertices {
+			return
+		}
+		var g *graph.Graph
+		var err error
+		if snap.IDs != nil {
+			if err = snap.validateIDs(); err == nil {
+				g, _, err = snap.graphWithTable(graph.NewVertexTable())
+			}
+		} else {
+			g, err = snap.Graph()
+		}
+		switch {
+		case snap.N > maxSnapshotVertices && err == nil:
+			t.Fatalf("n=%d above the %d-vertex cap accepted", snap.N, maxSnapshotVertices)
+		case err == nil && g.N() != snap.N:
+			t.Fatalf("accepted n=%d built a %d-vertex graph", snap.N, g.N())
+		}
+	})
+}
 
 // FuzzRestoreSnapshot feeds bytes through the restore boundary that a
 // rehydration, a boot recovery and a promotion all cross — snapshot

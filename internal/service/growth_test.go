@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -234,6 +236,20 @@ func TestExternalIDStreamGrowth(t *testing.T) {
 		if _, err := cl.PushSnapshot(ctx, "ids", bad, true); err == nil {
 			t.Errorf("%s: accepted, want 400", name)
 		}
+	}
+
+	// So are raw snapshots declaring more than maxSnapshotVertices: n
+	// sizes the graph's row index, so an unchecked 1<<62 would panic the
+	// handler in makeslice. The stream keeps serving afterwards.
+	for _, n := range []int{1 << 62, maxSnapshotVertices + 1} {
+		_, err := cl.PushSnapshot(ctx, "raw", Snapshot{N: n}, true)
+		var se *StatusError
+		if !errors.As(err, &se) || se.StatusCode != http.StatusBadRequest {
+			t.Errorf("raw n=%d: %v, want 400", n, err)
+		}
+	}
+	if _, err := cl.Push(ctx, "raw", graph.NewBuilder(3).MustBuild(), true); err != nil {
+		t.Fatalf("valid raw push after the oversized ones: %v", err)
 	}
 }
 

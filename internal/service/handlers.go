@@ -22,6 +22,12 @@ import (
 // applies.
 const maxSnapshotBytes = 64 << 20
 
+// maxSnapshotVertices bounds a snapshot's declared vertex count n. An
+// external-ID body spends at least four bytes per vertex (`"x",`), so
+// no body within maxSnapshotBytes names more; raw index mode gets the
+// same ceiling, since its n is a bare integer that sizes the graph.
+const maxSnapshotVertices = maxSnapshotBytes / 4
+
 // NodeHeader names the cluster node that actually served a response.
 // The router and the node-side forwarding middleware leave it intact,
 // so a client (or test) can always see where a request landed.

@@ -242,14 +242,6 @@ func (s *Server) HibernateStream(id string) error {
 	return nil
 }
 
-// RehydrateStream forces a hibernated stream resident (a no-op when it
-// already is). Pushes and reports do this lazily; the explicit form
-// exists for benchmarks and pre-warming.
-func (s *Server) RehydrateStream(id string) error {
-	_, err := s.acquire(id)
-	return err
-}
-
 // journalFor rebuilds a stream's journal sidecar around a recovered
 // (open, append-positioned) log.
 func (s *Server) journalFor(id string, rs *recoveredStream) *journal {
@@ -447,12 +439,6 @@ func (s *Server) EnforceBudget() int {
 func (s *Server) ResidentCount() int {
 	resident, _ := s.stateCounts()
 	return resident
-}
-
-// HibernatedCount returns the number of streams currently hibernated.
-func (s *Server) HibernatedCount() int {
-	_, hibernated := s.stateCounts()
-	return hibernated
 }
 
 func (s *Server) stateCounts() (resident, hibernated int) {

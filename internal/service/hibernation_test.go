@@ -37,7 +37,7 @@ func TestHibernateRehydrateByteIdenticalReport(t *testing.T) {
 	if err := srv.HibernateStream("s"); err != nil {
 		t.Fatalf("hibernate: %v", err)
 	}
-	if r, h := srv.ResidentCount(), srv.HibernatedCount(); r != 0 || h != 1 {
+	if r, h := srv.stateCounts(); r != 0 || h != 1 {
 		t.Fatalf("resident=%d hibernated=%d after hibernate, want 0/1", r, h)
 	}
 	if got := srv.AccountedBytes(); got != 0 {
@@ -116,12 +116,12 @@ func TestHibernateEdgeCases(t *testing.T) {
 	if v := srv2.metrics.counterValue("cadd_hibernations_total", ""); v != 1 {
 		t.Fatalf("double hibernate incremented the counter: %g", v)
 	}
-	// RehydrateStream on a resident stream is equally a no-op.
-	if err := srv2.RehydrateStream("s"); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv2.RehydrateStream("s"); err != nil {
-		t.Fatal(err)
+	// The first acquire rehydrates; a second, on the now resident
+	// stream, is equally a no-op.
+	for i := 0; i < 2; i++ {
+		if _, err := srv2.acquire("s"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if v := srv2.metrics.counterValue("cadd_rehydrations_total", ""); v != 1 {
 		t.Fatalf("cadd_rehydrations_total = %g, want 1", v)
@@ -415,7 +415,7 @@ func TestHibernationChurnStress(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				srv.HibernateStream(id) // losing a race is fine; no-ops are fine
 			} else {
-				srv.RehydrateStream(id)
+				srv.acquire(id)
 			}
 			srv.StreamInfo(id)
 			srv.AdminStreams()

@@ -201,10 +201,21 @@ type Snapshot struct {
 	IDs    []string       `json:"ids,omitempty"`
 }
 
+// checkN bounds the declared vertex count to 1..maxSnapshotVertices.
+func (s Snapshot) checkN() error {
+	if s.N <= 0 {
+		return fmt.Errorf("snapshot needs n > 0, got %d", s.N)
+	}
+	if s.N > maxSnapshotVertices {
+		return fmt.Errorf("snapshot n=%d exceeds the limit of %d vertices", s.N, maxSnapshotVertices)
+	}
+	return nil
+}
+
 // Graph validates and builds the snapshot's graph (raw index mode).
 func (s Snapshot) Graph() (*graph.Graph, error) {
-	if s.N <= 0 {
-		return nil, fmt.Errorf("snapshot needs n > 0, got %d", s.N)
+	if err := s.checkN(); err != nil {
+		return nil, err
 	}
 	edges := make([]graph.Edge, len(s.Edges))
 	for i, e := range s.Edges {
@@ -220,8 +231,8 @@ func (s Snapshot) Graph() (*graph.Graph, error) {
 // here so a malformed body is a 400 at the handler rather than a
 // scoring failure in the worker.
 func (s Snapshot) validateIDs() error {
-	if s.N <= 0 {
-		return fmt.Errorf("snapshot needs n > 0, got %d", s.N)
+	if err := s.checkN(); err != nil {
+		return err
 	}
 	if len(s.IDs) != s.N {
 		return fmt.Errorf("snapshot has %d ids for n=%d vertices", len(s.IDs), s.N)
