@@ -87,9 +87,10 @@ trace-smoke:
 # (NaN/Inf/negative-weight acceptance, allocation bombs), the δ
 # selection (bit-exact against the merged-sort reference, edgesAt
 # against AnomalousEdges), the snapshot restore boundary (decode,
-# restore and one push never panic) and the push body (decode and graph
-# build never panic, vertex counts past the cap are refused), beyond
-# their seed corpora. CI runs this.
+# restore and one push never panic, vertex counts past the cap are
+# refused) and the push body (decode and graph build never panic,
+# vertex counts past the cap are refused), beyond their seed corpora.
+# CI runs this.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReadSequence$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run=NONE -fuzz='^FuzzSelectDelta$$' -fuzztime=10s ./internal/core
@@ -97,9 +98,11 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzSnapshotBody$$' -fuzztime=10s ./internal/service
 
 # Memory-governance smoke: the hibernation test suite — create → push
-# → hibernate → rehydrate on the real serving stack with byte-identical
-# /report equivalence, the governor's watermark and idle policies, and
-# the crash-mid-hibernation cycle. CI runs this.
+# → hibernate → read → push → rehydrate on the real serving stack with
+# byte-identical /report equivalence (reads of hibernated streams are
+# served from report.json without rehydrating, in seeded interleavings
+# with governed reboots), the governor's watermark and idle policies,
+# and the crash-mid-hibernation cycle. CI runs this.
 hibernate-smoke:
 	$(call smoke-tests,TestHibernat|TestGovernor|TestCrashDuringHibernationChurn,./internal/service ./cmd/cadd)
 

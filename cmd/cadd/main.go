@@ -80,8 +80,9 @@
 // least-recently-used streams — journals their state to -data-dir and
 // drops it from memory — until usage falls under 75%. -hibernate-after
 // additionally hibernates any stream idle for that long regardless of
-// pressure. A push or report on a hibernated stream transparently
-// rehydrates it from its journal. Both flags require -data-dir;
+// pressure. A push on a hibernated stream transparently rehydrates it
+// from its journal; reads are served from the report it wrote when it
+// hibernated. Both flags require -data-dir;
 // -min-resident streams (default 1) are always kept resident. The
 // /streams endpoint reports each stream's residency state and
 // estimated bytes. See docs/MEMORY.md.

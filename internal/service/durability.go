@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,6 +26,9 @@ import (
 //	    config.json   the StreamConfig, written once at creation
 //	    wal.log       one framed PushRecord per scored push
 //	    snapshot.bin  the latest compact StreamSnapshot
+//	    report.json   the canonical report at hibernation (derived data:
+//	                  a governed boot rewrites it, replication never
+//	                  ships it)
 //
 // The journal is confined to the stream's worker goroutine (like the
 // detector itself), so it needs no locking. Recovery happens before
@@ -37,6 +41,7 @@ const (
 	streamConfigFile   = "config.json"
 	streamWALFile      = "wal.log"
 	streamSnapshotFile = "snapshot.bin"
+	streamReportFile   = "report.json"
 )
 
 // streamDir is the on-disk home of one stream's journal.
@@ -47,6 +52,30 @@ func streamDir(dataDir, id string) string {
 // snapshotPath is the stream's compact-snapshot file.
 func snapshotPath(dataDir, id string) string {
 	return filepath.Join(streamDir(dataDir, id), streamSnapshotFile)
+}
+
+// reportPath is the stream's derived report file (see saveReport).
+func reportPath(dataDir, id string) string {
+	return filepath.Join(streamDir(dataDir, id), streamReportFile)
+}
+
+// saveReport writes rep's canonical encoding to the stream's
+// report.json, from which reads of the hibernated stream are served.
+// The file is derived data — a governed boot rewrites it and only a
+// stub reads it — so it is renamed into place without an fsync. It
+// reports whether the write succeeded; on failure the stub's reads
+// rehydrate instead.
+func (s *Server) saveReport(id string, rep core.Report) bool {
+	var buf bytes.Buffer
+	err := core.WriteReportJSON(&buf, rep)
+	if err == nil {
+		err = writeFileAtomic(reportPath(s.cfg.DataDir, id), buf.Bytes(), false)
+	}
+	if err != nil {
+		s.cfg.Logger.Error("writing report file failed; reads will rehydrate the stream", "stream", id, "err", err)
+		return false
+	}
+	return true
 }
 
 // journal is a stream's durability sidecar. All fields after
@@ -208,7 +237,22 @@ func graphToWAL(g *graph.Graph) wal.GraphData {
 	return d
 }
 
+// checkStoredVertices refuses a vertex count read from disk (or from a
+// replica) that no push could have produced: negative, or above the
+// maxSnapshotVertices cap that every push obeys. The count sizes the
+// graph's row index even without edges, so an unchecked one is an
+// allocation of up to 16 GiB.
+func checkStoredVertices(n int32) error {
+	if n < 0 || n > maxSnapshotVertices {
+		return fmt.Errorf("%d vertices, outside 0..%d", n, maxSnapshotVertices)
+	}
+	return nil
+}
+
 func graphFromWAL(d *wal.GraphData) (*graph.Graph, error) {
+	if err := checkStoredVertices(d.N); err != nil {
+		return nil, err
+	}
 	edges := make([]graph.Edge, len(d.Edges))
 	for i, e := range d.Edges {
 		edges[i] = graph.Edge{I: int(e.I), J: int(e.J), W: e.W}
@@ -271,6 +315,9 @@ func snapshotFromState(cfgJSON []byte, st *core.OnlineState, chain uint64) *wal.
 }
 
 func stateFromSnapshot(snap *wal.StreamSnapshot) (core.OnlineState, error) {
+	if err := checkStoredVertices(snap.N); err != nil {
+		return core.OnlineState{}, fmt.Errorf("snapshot: %w", err)
+	}
 	st := core.OnlineState{
 		N:       int(snap.N),
 		T:       int(snap.Instances),
@@ -478,10 +525,11 @@ func (s *Server) Recover() error {
 //
 // Under memory governance the stream is registered as a hibernated
 // stub rather than a resident worker: the journal is fully decoded and
-// the detector restored once — validating the directory and measuring
-// the footprint — then dropped and the log closed, so booting a
-// registry of 100k streams keeps RSS bounded by one stream's state at
-// a time. The first push or report rehydrates lazily.
+// the detector restored once — validating the directory, measuring the
+// footprint and rewriting report.json — then dropped and the log
+// closed, so booting a registry of 100k streams keeps RSS bounded by
+// one stream's state at a time. Reads are served from report.json; the
+// first push rehydrates lazily.
 func (s *Server) recoverOne(id, dir string) error {
 	if err := validateStreamID(id); err != nil {
 		return err
@@ -515,6 +563,7 @@ func (s *Server) recoverOne(id, dir string) error {
 			cfg:          cfg,
 			bytes:        det.SizeBytes(),
 			hibernatedAt: time.Now(),
+			reportSaved:  s.saveReport(id, det.Report()),
 			info: StreamInfo{
 				ID:          id,
 				Config:      cfg,
@@ -585,7 +634,7 @@ func newJournal(dataDir, id string, cfg StreamConfig, snapshotEvery int, fsync b
 		return nil, fmt.Errorf("service: stream %q config: %w", id, err)
 	}
 	cfgLine := append(append([]byte(nil), cfgJSON...), '\n')
-	if err := writeFileAtomic(filepath.Join(dir, streamConfigFile), cfgLine); err != nil {
+	if err := writeFileAtomic(filepath.Join(dir, streamConfigFile), cfgLine, true); err != nil {
 		return nil, fmt.Errorf("service: stream %q: %w", id, err)
 	}
 	log, _, err := wal.Open(filepath.Join(dir, streamWALFile), wal.Options{Fsync: fsync}, func([]byte) error {
@@ -611,8 +660,9 @@ func newJournal(dataDir, id string, cfg StreamConfig, snapshotEvery int, fsync b
 	}, nil
 }
 
-// writeFileAtomic writes data via a same-directory temp file + rename.
-func writeFileAtomic(path string, data []byte) error {
+// writeFileAtomic writes data via a same-directory temp file + rename,
+// syncing the temp file first when sync is set.
+func writeFileAtomic(path string, data []byte, sync bool) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
@@ -623,10 +673,12 @@ func writeFileAtomic(path string, data []byte) error {
 		os.Remove(name)
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
+	if sync {
+		if err := tmp.Sync(); err != nil {
+			tmp.Close()
+			os.Remove(name)
+			return err
+		}
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(name)

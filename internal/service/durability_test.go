@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"dyngraph/internal/wal"
 )
 
 // bootServer starts a server (recovering any journal under
@@ -383,5 +385,99 @@ func TestPushAtIdempotencyWithoutDurability(t *testing.T) {
 	info, err := cl.StreamInfo(ctx, "s")
 	if err != nil || info.Ingested != 2 {
 		t.Fatalf("info %+v, %v; duplicates or gaps must not advance ingestion", info, err)
+	}
+}
+
+// TestDurabilityVertexCapRefused: a snapshot's N, its previous graph's
+// N and a WAL record's graph N come from disk or a replica and size a
+// graph even without edges, so a CRC-valid journal declaring one past
+// maxSnapshotVertices is refused — logged, counted and skipped — before
+// anything is allocated by it. Governed and ungoverned boots both
+// refuse it and boot the rest of the data dir.
+func TestDurabilityVertexCapRefused(t *testing.T) {
+	const over = maxSnapshotVertices + 1
+	dataDir := t.TempDir()
+	seq := testSequence(t, 4, 31)
+	_, hs, cl, stop := bootServer(t, Config{DataDir: dataDir})
+	ctx := context.Background()
+	if err := cl.CreateStream(ctx, "ok", StreamConfig{L: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := cl.Push(ctx, "ok", seq.At(i), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := httpGetBody(t, hs, "/v1/streams/ok/report")
+	stop()
+
+	// writeStream lays out a stream directory by hand: a config, and the
+	// snapshot or first WAL record under test.
+	writeStream := func(id string, snap *wal.StreamSnapshot, rec *wal.PushRecord) {
+		t.Helper()
+		dir := streamDir(dataDir, id)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, streamConfigFile), []byte(`{"l":2}`+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if snap != nil {
+			payload, err := wal.EncodeSnapshot(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wal.WriteSnapshotFile(filepath.Join(dir, streamSnapshotFile), payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var frame []byte
+		if rec != nil {
+			rec.Digest = wal.StateDigest(0, rec.Instance, rec.Delta, rec.Evicted, rec.Total)
+			payload, err := wal.EncodeRecord(rec)
+			if err == nil {
+				frame, err = wal.EncodeFrame(payload)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, streamWALFile), frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := []string{"snapshot-n", "snapshot-prev-n", "snapshot-negative-n", "record-n"}
+	writeStream(bad[0], &wal.StreamSnapshot{N: over, Instances: 1, Prev: &wal.GraphData{N: over}}, nil)
+	writeStream(bad[1], &wal.StreamSnapshot{N: 3, Instances: 1, Prev: &wal.GraphData{N: over}}, nil)
+	writeStream(bad[2], &wal.StreamSnapshot{N: -1, Instances: 1}, nil)
+	writeStream(bad[3], nil, &wal.PushRecord{Instance: 0, Graph: wal.GraphData{N: over}})
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"ungoverned", Config{}},
+		{"governed", Config{HibernateAfter: time.Hour, GovernorInterval: time.Hour}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			image := t.TempDir()
+			copyDir(t, dataDir, image)
+			tc.cfg.DataDir = image
+			srv, hs, cl, _ := bootServer(t, tc.cfg)
+			for _, id := range bad {
+				if _, ok := srv.StreamInfo(id); ok {
+					t.Fatalf("stream %s declaring %d vertices was recovered", id, over)
+				}
+				if v := srv.metrics.counterValue("cadd_recovery_failures_total", labels("stream", id)); v != 1 {
+					t.Fatalf("cadd_recovery_failures_total{stream=%q} = %g, want 1", id, v)
+				}
+			}
+			if got := httpGetBody(t, hs, "/v1/streams/ok/report"); !bytes.Equal(got, want) {
+				t.Fatal("the valid stream beside the refused ones recovered a different report")
+			}
+			if _, err := cl.PushAt(ctx, "ok", seq.At(3), 3, true); err != nil {
+				t.Fatalf("push to the valid stream: %v", err)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"dyngraph/internal/core"
@@ -10,9 +11,10 @@ import (
 	"dyngraph/internal/wal"
 )
 
-// maxFuzzVertices bounds the vertex count a fuzzed snapshot may declare,
-// so one run stays small in memory. Bounding N on disk is a separate
-// concern from the restore boundary fuzzed here.
+// maxFuzzVertices bounds the vertex count a fuzzed input may declare and
+// still be built, so one run stays small in memory. Counts between it
+// and the maxSnapshotVertices cap are legal but skipped; counts past
+// the cap must be refused, on the wire and on disk alike.
 const maxFuzzVertices = 1 << 12
 
 // FuzzSnapshotBody feeds bytes through the push body boundary the way
@@ -39,7 +41,7 @@ func FuzzSnapshotBody(f *testing.F) {
 		var err error
 		if snap.IDs != nil {
 			if err = snap.validateIDs(); err == nil {
-				g, _, err = snap.graphWithTable(graph.NewVertexTable())
+				g, _, err = snap.graphWithTable(graph.NewVertexTable(), maxSnapshotVertices)
 			}
 		} else {
 			g, err = snap.Graph()
@@ -58,8 +60,12 @@ func FuzzSnapshotBody(f *testing.F) {
 // decode, conversion to detector state, core.RestoreOnline — and, when
 // the restore succeeds, one scoring push. regime picks the stream
 // configuration (oracleRegimes). Whatever the bytes, nothing may panic:
-// a malformed snapshot comes back as an error. The seeds are real
-// snapshots of every regime, with and without the oracle block.
+// a malformed snapshot comes back as an error, and one declaring a
+// negative vertex count or more than maxSnapshotVertices, in N or in
+// Prev.N, is refused before anything is sized by it. Snapshots
+// declaring between maxFuzzVertices and the cap are skipped. The seeds
+// are real snapshots of every regime, with and without the oracle
+// block, and one past the cap.
 func FuzzRestoreSnapshot(f *testing.F) {
 	seq := reweightStream(24, 5, 29)
 	for regime, rg := range oracleRegimes {
@@ -80,15 +86,31 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			f.Add(uint8(regime), payload)
 		}
 	}
+	over, err := wal.EncodeSnapshot(&wal.StreamSnapshot{N: maxSnapshotVertices + 1, Instances: 1,
+		Prev: &wal.GraphData{N: maxSnapshotVertices + 1}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(0), over)
 	f.Fuzz(func(t *testing.T, regime uint8, payload []byte) {
 		snap, err := wal.DecodeSnapshot(payload)
 		if err != nil {
 			return
 		}
-		if snap.N > maxFuzzVertices || (snap.Prev != nil && snap.Prev.N > maxFuzzVertices) {
+		declared := []int32{snap.N}
+		if snap.Prev != nil {
+			declared = append(declared, snap.Prev.N)
+		}
+		if slices.ContainsFunc(declared, func(n int32) bool { return n > maxFuzzVertices && n <= maxSnapshotVertices }) {
 			return
 		}
 		st, err := stateFromSnapshot(snap)
+		if slices.ContainsFunc(declared, func(n int32) bool { return n < 0 || n > maxSnapshotVertices }) {
+			if err == nil {
+				t.Fatalf("snapshot declaring %v vertices accepted", declared)
+			}
+			return
+		}
 		if err != nil {
 			return
 		}

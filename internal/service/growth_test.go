@@ -354,3 +354,36 @@ func TestHibernateRehydrateGrowth(t *testing.T) {
 		t.Fatalf("vertex_ids has %d entries after post-rehydrate growth, want %d", len(rep.VertexIDs), seq.N())
 	}
 }
+
+// TestExternalIDVertexCap: an external-ID stream's vertex table grows
+// across pushes, so it is capped like a push's declared n. A snapshot
+// that would intern past the cap is refused; known ids never count
+// against it. The cap is graphWithTable's argument, so the test needs
+// no 2^24 ids; the worker passes maxSnapshotVertices and truncates the
+// partial interns a refusal leaves.
+func TestExternalIDVertexCap(t *testing.T) {
+	const limit = 4
+	vt := graph.NewVertexTable()
+	build := func(ids ...string) error {
+		snap := Snapshot{N: len(ids), IDs: ids, Edges: []SnapshotEdge{{0, 1, 1}}}
+		if err := snap.validateIDs(); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := snap.graphWithTable(vt, limit)
+		return err
+	}
+	if err := build("ann", "bob", "cat"); err != nil {
+		t.Fatalf("3 of %d vertices: %v", limit, err)
+	}
+	if err := build("cat", "bob", "ann"); err != nil {
+		t.Fatalf("re-pushing known ids: %v", err)
+	}
+	pre := vt.Len()
+	if err := build("ann", "dan", "eve"); err == nil || !strings.Contains(err.Error(), "limit of 4 vertices") {
+		t.Fatalf("growing past the cap: %v, want a refusal", err)
+	}
+	vt.Truncate(pre) // the worker's rollback
+	if err := build("dan", "ann"); err != nil || vt.Len() != limit {
+		t.Fatalf("growing to exactly the cap: %v, table holds %d", err, vt.Len())
+	}
+}

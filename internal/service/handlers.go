@@ -12,7 +12,6 @@ import (
 	"strconv"
 
 	"dyngraph/internal/buildinfo"
-	"dyngraph/internal/core"
 	"dyngraph/internal/graph"
 	"dyngraph/internal/obs"
 )
@@ -22,10 +21,13 @@ import (
 // applies.
 const maxSnapshotBytes = 64 << 20
 
-// maxSnapshotVertices bounds a snapshot's declared vertex count n. An
-// external-ID body spends at least four bytes per vertex (`"x",`), so
-// no body within maxSnapshotBytes names more; raw index mode gets the
-// same ceiling, since its n is a bare integer that sizes the graph.
+// maxSnapshotVertices caps a stream's vertex count on every path that
+// sizes its graph: a push's declared n, the vertex table an external-ID
+// stream grows across pushes, and the counts a snapshot or WAL record
+// declares on disk. An external-ID body spends at least four bytes per
+// vertex (`"x",`), so no body within maxSnapshotBytes names more; raw
+// index mode gets the same ceiling, since its n is a bare integer that
+// sizes the graph.
 const maxSnapshotVertices = maxSnapshotBytes / 4
 
 // NodeHeader names the cluster node that actually served a response.
@@ -95,8 +97,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-// writeAcquireError maps an acquire failure: unknown id → 404, closed
-// (shutdown) → 409, a failed rehydration → 500.
+// writeAcquireError maps an acquire or readReport failure: unknown id
+// → 404, closed (shutdown) → 409, a failed rehydration → 500.
 func writeAcquireError(w http.ResponseWriter, id string, err error) {
 	switch {
 	case errors.Is(err, errUnknownStream):
@@ -206,17 +208,18 @@ func (s *Server) writeSLOMetrics(w io.Writer) {
 // handleReports serves every registered stream's report in one
 // response, keyed by stream id — the bulk form the cluster router
 // scatter-gathers so a cross-cluster report is one request per node
-// rather than one per stream. Hibernated streams are rehydrated, like
-// the single-stream endpoint would.
+// rather than one per stream. Hibernated streams are served from their
+// report.json, like the single-stream endpoint, so the request
+// rehydrates nothing.
 func (s *Server) handleReports(w http.ResponseWriter, _ *http.Request) {
 	out := make(map[string]json.RawMessage)
 	for _, info := range s.ListStreams() {
-		st, err := s.acquire(info.ID)
+		rep, err := s.readReport(info.ID)
 		if err != nil {
-			continue // deleted between the listing and the acquire
+			continue // deleted between the listing and the read
 		}
 		var buf bytes.Buffer
-		if err := core.WriteReportJSON(&buf, st.report()); err != nil {
+		if err := rep.writeTo(&buf); err != nil {
 			writeError(w, http.StatusInternalServerError, "encoding report for %q: %v", info.ID, err)
 			return
 		}
@@ -470,35 +473,38 @@ func (s *Server) handlePostSnapshot(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st, err := s.acquire(id)
+	rep, err := s.readReport(id)
 	if err != nil {
 		writeAcquireError(w, id, err)
 		return
 	}
-	rep := st.report()
 	w.Header().Set("Content-Type", "application/json")
 	// The canonical shared encoding: byte-identical to cadrun -json.
-	if err := core.WriteReportJSON(w, rep); err != nil {
+	if err := rep.writeTo(w); err != nil {
 		writeError(w, http.StatusInternalServerError, "encoding report: %v", err)
 	}
 }
 
 func (s *Server) handleTransition(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st, err := s.acquire(id)
-	if err != nil {
-		writeAcquireError(w, id, err)
-		return
-	}
+	// A malformed index is refused before any lookup touches the stream.
 	t, err := strconv.Atoi(r.PathValue("t"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad transition index %q", r.PathValue("t"))
 		return
 	}
-	tr, ok := st.transition(t)
-	if !ok {
-		writeError(w, http.StatusNotFound, "stream %q has no transition %d in its retained history", id, t)
+	rep, err := s.readReport(id)
+	if err != nil {
+		writeAcquireError(w, id, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, tr.JSON())
+	tr, ok, err := rep.transition(t)
+	switch {
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "reading stored report: %v", err)
+	case !ok:
+		writeError(w, http.StatusNotFound, "stream %q has no transition %d in its retained history", id, t)
+	default:
+		writeJSON(w, http.StatusOK, tr)
+	}
 }

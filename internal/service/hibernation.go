@@ -1,8 +1,11 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -14,7 +17,8 @@ import (
 
 // This file is the serving layer of the memory-governance subsystem:
 // the resident⇄hibernated state machine around each stream, the lazy
-// rehydration path, and the background governor that enforces the byte
+// rehydration path, the read path that serves hibernated streams
+// without it, and the background governor that enforces the byte
 // budget and idle policy.
 //
 // The registry maps ids to entries, not streams. An entry is either
@@ -26,12 +30,15 @@ import (
 // entry mutex guards the swap; Server.mu guards only map membership.
 //
 // Hibernate: stop intake, drain the worker (its exit writes a fresh
-// snapshot and closes the log), swap in the stub, forget the ledger
-// entry. Rehydrate: singleflight per id — replay the journal, restore
-// the detector bit-exactly (core.RestoreOnline), start a new worker.
-// A push that races a hibernation gets errStreamClosed from the old
-// stream and retries through acquire, which blocks on the entry until
-// the swap completes and then rehydrates.
+// snapshot and closes the log), write the final report to report.json,
+// swap in the stub, forget the ledger entry. Rehydrate: singleflight
+// per id — replay the journal, restore the detector bit-exactly
+// (core.RestoreOnline), start a new worker. Only pushes rehydrate: a
+// report read of a stub is served from its report.json, and falls back
+// to a rehydration only when that file could not be written. A push
+// that races a hibernation gets errStreamClosed from the old stream and
+// retries through acquire, which blocks on the entry until the swap
+// completes and then rehydrates.
 
 // errUnknownStream maps to HTTP 404.
 var errUnknownStream = errors.New("service: unknown stream")
@@ -50,13 +57,17 @@ type entry struct {
 
 // stubState is what a hibernated stream keeps in memory: enough for
 // /streams, /metrics and the admin endpoint to enumerate it, and the
-// defaults-applied config rehydration restarts it with.
+// defaults-applied config rehydration restarts it with. Its report
+// stays on disk, in report.json.
 type stubState struct {
 	cfg          StreamConfig
 	info         StreamInfo // status captured at hibernation (or boot recovery)
 	bytes        int64      // last accounted resident size
 	lastPush     time.Time  // zero when never pushed
 	hibernatedAt time.Time
+	// reportSaved is true when report.json holds this stub's report.
+	// Writing it can fail; reads of the stub then rehydrate.
+	reportSaved bool
 }
 
 // resident returns the id's live stream without rehydrating; ok is
@@ -83,10 +94,11 @@ func (s *Server) exists(id string) bool {
 }
 
 // acquire returns the id's live stream, transparently rehydrating a
-// hibernated one. Concurrent acquires of the same hibernated stream
-// share a single rehydration (singleflight). The loop handles the
-// (rare) race where the governor re-hibernates between our rehydrate
-// and our lookup.
+// hibernated one, and marks it used in the working set. Pushes take
+// this path; reads take it only as readReport's fallback. Concurrent
+// acquires of the same hibernated stream share a single rehydration
+// (singleflight). The loop handles the (rare) race where the governor
+// re-hibernates between our rehydrate and our lookup.
 func (s *Server) acquire(id string) (*stream, error) {
 	for {
 		s.mu.RLock()
@@ -189,9 +201,10 @@ func (s *Server) rehydrate(id string) error {
 	return fmt.Errorf("service: rehydrating stream %q: %w", id, err)
 }
 
-// HibernateStream journals a final snapshot of the stream and drops
-// its in-memory state, leaving a stub in the registry. The next push
-// or report rehydrates it transparently. Hibernating a stream that is
+// HibernateStream journals a final snapshot of the stream, writes its
+// final report to report.json and drops its in-memory state, leaving a
+// stub in the registry. Reads are served from that file; the next push
+// rehydrates the stream transparently. Hibernating a stream that is
 // already hibernated is a no-op; hibernating one without durability
 // (no data dir) or with a failed journal is refused, because its state
 // could not be brought back.
@@ -220,7 +233,7 @@ func (s *Server) HibernateStream(id string) error {
 	}
 	// The worker's exit path writes the final snapshot and closes the
 	// WAL — after the drain the stream holds no goroutine and no file
-	// descriptor.
+	// descriptor, and its report includes every queued push.
 	st.close()
 	<-st.drained()
 	info := st.info()
@@ -232,6 +245,7 @@ func (s *Server) HibernateStream(id string) error {
 		bytes:        bytes,
 		lastPush:     st.lastPushTime(),
 		hibernatedAt: time.Now(),
+		reportSaved:  s.saveReport(id, st.report()),
 	}
 	e.st = nil
 	s.lru.Remove(id)
@@ -316,14 +330,84 @@ func (s *Server) push(id string, g *graph.Graph, snap *Snapshot, sync bool, pc p
 	}
 }
 
-// Report returns a stream's re-thresholded history, rehydrating it
-// first when hibernated.
-func (s *Server) Report(id string) (core.Report, error) {
-	st, err := s.acquire(id)
-	if err != nil {
-		return core.Report{}, err
+// storedReport is one stream's report as a read finds it: a resident
+// stream, thresholded under its detector lock, or the canonical bytes
+// of a hibernated stream's report.json.
+type storedReport struct {
+	st   *stream
+	file []byte
+}
+
+// readReport resolves id for a report read. It neither rehydrates a
+// hibernated stream nor marks a resident one used, so only pushes
+// decide which streams stay resident. A stub whose report.json could
+// not be written or read falls back to acquire's rehydration. Each
+// resolved read counts once in cadd_report_reads_total, by where it
+// was served; a fallback counts as resident.
+func (s *Server) readReport(id string) (storedReport, error) {
+	s.mu.RLock()
+	e := s.streams[id]
+	s.mu.RUnlock()
+	if e == nil {
+		return storedReport{}, errUnknownStream
 	}
-	return st.report(), nil
+	// The file is read under the entry lock, which every write of it
+	// and every stub swap also holds, so the bytes are this stub's.
+	var rep storedReport
+	e.mu.Lock()
+	rep.st = e.st
+	if e.stub != nil && e.stub.reportSaved {
+		b, err := os.ReadFile(reportPath(s.cfg.DataDir, id))
+		if err == nil {
+			rep.file = b
+		} else {
+			s.cfg.Logger.Warn("report file unreadable; rehydrating", "stream", id, "err", err)
+		}
+	}
+	e.mu.Unlock()
+	if rep.file != nil {
+		s.metrics.add("cadd_report_reads_total", labels("state", StreamStateHibernated), 1)
+		return rep, nil
+	}
+	if rep.st == nil {
+		st, err := s.acquire(id)
+		if err != nil {
+			return storedReport{}, err
+		}
+		rep.st = st
+	}
+	s.metrics.add("cadd_report_reads_total", labels("state", StreamStateResident), 1)
+	return rep, nil
+}
+
+// writeTo writes the report's canonical encoding: core.WriteReportJSON's
+// bytes, stored or freshly encoded.
+func (r storedReport) writeTo(w io.Writer) error {
+	if r.st == nil {
+		_, err := w.Write(r.file)
+		return err
+	}
+	return core.WriteReportJSON(w, r.st.report())
+}
+
+// transition returns transition t's entry at the report's δ; false
+// when t is not in the retained window. A stored entry re-encodes to
+// the bytes the resident stream's entry would.
+func (r storedReport) transition(t int) (core.TransitionJSON, bool, error) {
+	if r.st != nil {
+		tr, ok := r.st.transition(t)
+		return tr.JSON(), ok, nil
+	}
+	var rep core.ReportJSON
+	if err := json.Unmarshal(r.file, &rep); err != nil {
+		return core.TransitionJSON{}, false, err
+	}
+	for _, tr := range rep.Transitions {
+		if tr.Transition == t {
+			return tr, true, nil
+		}
+	}
+	return core.TransitionJSON{}, false, nil
 }
 
 // --- governor --------------------------------------------------------
@@ -390,7 +474,7 @@ func (s *Server) stopGovernor() {
 //
 // Both respect the MinResident floor. A stream that refuses to
 // hibernate (failed journal) is dropped from the victim tracker so the
-// pass cannot spin on it; its next access re-registers it.
+// pass cannot spin on it; its next push re-registers it.
 func (s *Server) governOnce(now time.Time) int {
 	hibernated := 0
 	if s.cfg.HibernateAfter > 0 {

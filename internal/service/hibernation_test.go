@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,8 +17,9 @@ import (
 )
 
 // TestHibernateRehydrateByteIdenticalReport is the core equivalence
-// guarantee: hibernating a stream and lazily rehydrating it on the
-// next read must not change a single byte of its /report.
+// guarantee: hibernating a stream, reading it while hibernated and
+// lazily rehydrating it on the next push must not change a single byte
+// of its /report.
 func TestHibernateRehydrateByteIdenticalReport(t *testing.T) {
 	dataDir := t.TempDir()
 	seq := testSequence(t, 8, 42)
@@ -53,27 +55,31 @@ func TestHibernateRehydrateByteIdenticalReport(t *testing.T) {
 		t.Fatalf("hibernated info %+v, ok=%v", info, ok)
 	}
 
-	// The GET transparently rehydrates and must reproduce the report
-	// byte for byte.
+	// The GET is served from report.json without rehydrating and must
+	// reproduce the report byte for byte.
 	got := httpGetBody(t, hs, "/v1/streams/s/report")
 	if !bytes.Equal(want, got) {
-		t.Fatalf("report changed across hibernate→rehydrate:\n%s\nvs\n%s", want, got)
+		t.Fatalf("report changed across hibernate→read:\n%s\nvs\n%s", want, got)
 	}
-	if info, _ := srv.StreamInfo("s"); info.State != StreamStateResident {
-		t.Fatalf("stream state %q after rehydrating read, want resident", info.State)
+	if info, _ := srv.StreamInfo("s"); info.State != StreamStateHibernated {
+		t.Fatalf("stream state %q after a read, want hibernated", info.State)
 	}
 	if v := srv.metrics.counterValue("cadd_hibernations_total", ""); v != 1 {
 		t.Fatalf("cadd_hibernations_total = %g, want 1", v)
 	}
-	if v := srv.metrics.counterValue("cadd_rehydrations_total", ""); v != 1 {
-		t.Fatalf("cadd_rehydrations_total = %g, want 1", v)
+	if v := srv.metrics.counterValue("cadd_rehydrations_total", ""); v != 0 {
+		t.Fatalf("cadd_rehydrations_total = %g after a read, want 0", v)
 	}
 
-	// The stream keeps scoring correctly after the round trip: the full
-	// sequence must match an uninterrupted run.
+	// The next push rehydrates, and the stream keeps scoring correctly
+	// after the round trip: the full sequence must match an
+	// uninterrupted run.
 	for i := 6; i < seq.T(); i++ {
 		if _, err := cl.Push(ctx, "s", seq.At(i), true); err != nil {
 			t.Fatal(err)
+		}
+		if v := srv.metrics.counterValue("cadd_rehydrations_total", ""); v != 1 {
+			t.Fatalf("cadd_rehydrations_total = %g after push %d, want 1", v, i)
 		}
 	}
 	full := httpGetBody(t, hs, "/v1/streams/s/report")
@@ -341,7 +347,7 @@ func TestManyStreamsBoundedResidency(t *testing.T) {
 	probeStop()
 
 	budgetBytes := 25 * perStream
-	srv, _, _, _ := bootServer(t, Config{
+	srv, hs, _, _ := bootServer(t, Config{
 		DataDir:          t.TempDir(),
 		Fsync:            false,
 		MaxStreams:       total,
@@ -370,11 +376,16 @@ func TestManyStreamsBoundedResidency(t *testing.T) {
 	if r, h := srv.stateCounts(); r+h != total || h < total-30 {
 		t.Fatalf("resident=%d hibernated=%d of %d: working set not bounded", r, h, total)
 	}
-	// A hibernated stream from the early cohort still answers.
-	if _, err := srv.Report("s00000"); err != nil {
+	// A hibernated stream from the early cohort still answers a read,
+	// without rehydrating; its next push rehydrates it.
+	httpGetBody(t, hs, "/v1/streams/s00000/report")
+	if info, _ := srv.StreamInfo("s00000"); info.State != StreamStateHibernated {
+		t.Fatalf("read stream info %+v, want hibernated", info)
+	}
+	if _, err := srv.Push("s00000", seq.At(1), true); err != nil {
 		t.Fatalf("rehydrating an early stream: %v", err)
 	}
-	if info, _ := srv.StreamInfo("s00000"); info.State != StreamStateResident || info.Ingested != 1 {
+	if info, _ := srv.StreamInfo("s00000"); info.State != StreamStateResident || info.Ingested != 2 {
 		t.Fatalf("rehydrated stream info %+v", info)
 	}
 }
@@ -383,6 +394,7 @@ func TestManyStreamsBoundedResidency(t *testing.T) {
 // concurrent pushes and reads (run it with -race): per-stream push
 // order is total, so every stream must end byte-identical to an
 // uninterrupted run no matter how often it was hibernated mid-stream.
+// The reads race hibernation's report.json writes.
 func TestHibernationChurnStress(t *testing.T) {
 	const (
 		streams   = 4
@@ -416,6 +428,9 @@ func TestHibernationChurnStress(t *testing.T) {
 				srv.HibernateStream(id) // losing a race is fine; no-ops are fine
 			} else {
 				srv.acquire(id)
+			}
+			if rep, err := srv.readReport(id); err == nil {
+				rep.writeTo(io.Discard)
 			}
 			srv.StreamInfo(id)
 			srv.AdminStreams()
@@ -507,13 +522,13 @@ func TestShutdownAfterHibernation(t *testing.T) {
 		t.Fatalf("recovered %d streams, want 2", n)
 	}
 	// Governed boot registers hibernated stubs — bounded boot RSS —
-	// and the first read rehydrates bit-exactly.
+	// whose reads serve the rewritten report.json bit-exactly.
 	if r, h := srv2.stateCounts(); r != 0 || h != 2 {
 		t.Fatalf("governed boot: resident=%d hibernated=%d, want 0/2", r, h)
 	}
 	got := httpGetBody(t, hs2, "/v1/streams/kept/report")
 	if !bytes.Equal(want, got) {
-		t.Fatal("report diverged across hibernate→shutdown→boot→rehydrate")
+		t.Fatal("report diverged across hibernate→shutdown→boot→read")
 	}
 }
 

@@ -170,9 +170,9 @@ func pushRange(t *testing.T, cl *Client, id string, seq *graph.Sequence, from, t
 }
 
 // TestHibernateRehydrateOracleRegimes: hibernation's snapshot carries
-// the previous oracle, so a rehydrated stream scores its next push
-// without rebuilding it, and /report stays byte-identical to an
-// uninterrupted detector in every embedding regime. The first cycle
+// the previous oracle, so a stream rehydrated by its next push scores
+// it without rebuilding the oracle, and /report stays byte-identical to
+// an uninterrupted detector in every embedding regime. The first cycle
 // rehydrates from a compaction snapshot (hibernation writes none when
 // the last push compacted), the second from hibernation's own.
 func TestHibernateRehydrateOracleRegimes(t *testing.T) {
@@ -202,8 +202,10 @@ func TestHibernateRehydrateOracleRegimes(t *testing.T) {
 					t.Fatalf("snapshot carries a forest = %v", got)
 				}
 				if got := httpGetBody(t, hs, "/v1/streams/s/report"); !bytes.Equal(want, got) {
-					t.Fatal("report changed across hibernate→rehydrate")
+					t.Fatal("report changed across hibernate→read")
 				}
+				pushRange(t, cl, "s", seq, done, done+1)
+				done++
 				if tag := restoreOracleTag(t, srv, "s"); tag != "restored" {
 					t.Fatalf("restore span oracle = %q, want restored", tag)
 				}

@@ -52,9 +52,9 @@ type Config struct {
 	// sizes are still accounted for /streams and /metrics. Requires
 	// DataDir.
 	MemBudgetBytes int64
-	// HibernateAfter hibernates streams idle (no push, report or
-	// transition read) for this long, regardless of budget pressure.
-	// 0 disables idle hibernation. Requires DataDir.
+	// HibernateAfter hibernates streams idle (no push) for this long,
+	// regardless of budget pressure; reads do not count as use. 0
+	// disables idle hibernation. Requires DataDir.
 	HibernateAfter time.Duration
 	// MinResident is the floor of resident streams the governor will
 	// never evict below (default 1).
@@ -175,7 +175,8 @@ func New(cfg Config) *Server {
 	m.describe("cadd_wal_errors_total", "Journal write failures; the stream keeps serving with durability disabled.")
 	m.describe("cadd_duplicate_pushes_total", "Instance-indexed re-pushes acked without re-scoring (idempotent retries).")
 	m.describe("cadd_hibernations_total", "Streams moved from resident to hibernated (snapshot journaled, state dropped).")
-	m.describe("cadd_rehydrations_total", "Hibernated streams restored to resident on access.")
+	m.describe("cadd_rehydrations_total", "Hibernated streams restored to resident on a push or a fallback read.")
+	m.describe("cadd_report_reads_total", "Stream report reads (/report, /transitions, /v1/reports entries) by where they were served: resident (the live detector) or hibernated (the report.json written at hibernation).")
 	m.describeHistogram("cadd_push_seconds",
 		"Per-snapshot scoring latency (oracle build + transition scoring), by oracle kind.", pushBuckets)
 	m.describeHistogram("cadd_push_stage_seconds",

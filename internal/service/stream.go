@@ -355,7 +355,7 @@ func (s *stream) resolveJob(j *job) (g *graph.Graph, newIDs []string, preLen int
 		s.vt = graph.NewVertexTable()
 	}
 	preLen = s.vt.Len()
-	g, newIDs, err = j.snap.graphWithTable(s.vt)
+	g, newIDs, err = j.snap.graphWithTable(s.vt, maxSnapshotVertices)
 	if err != nil {
 		return nil, nil, preLen, err
 	}

@@ -31,8 +31,9 @@
 //
 // Memory governance (see docs/MEMORY.md): with durability on, a byte
 // budget or idle policy hibernates cold streams — final snapshot
-// journaled, worker stopped, state dropped — and the next access
-// rehydrates them bit-exactly and transparently.
+// journaled, final report written to report.json, worker stopped,
+// state dropped. Reads of a hibernated stream are served from that
+// file; the next push rehydrates it bit-exactly and transparently.
 package service
 
 import (
@@ -264,16 +265,20 @@ func (s Snapshot) validateIDs() error {
 // graphWithTable interns the snapshot's IDs into vt (in slice order)
 // and builds the dense graph over every vertex interned so far —
 // vertices from earlier snapshots absent here simply carry no edges.
-// It returns the graph and the newly interned IDs in dense-index
-// order. On error vt may hold the partial interns; the caller rolls
-// back with vt.Truncate.
-func (s Snapshot) graphWithTable(vt *graph.VertexTable) (*graph.Graph, []string, error) {
+// It refuses a snapshot that would grow the table past maxVertices,
+// the stream's vertex cap. It returns the graph and the newly interned
+// IDs in dense-index order. On error vt may hold the partial interns;
+// the caller rolls back with vt.Truncate.
+func (s Snapshot) graphWithTable(vt *graph.VertexTable, maxVertices int) (*graph.Graph, []string, error) {
 	dense := make([]int, len(s.IDs))
 	var newIDs []string
 	for i, id := range s.IDs {
 		idx, added := vt.Intern(id)
 		dense[i] = idx
 		if added {
+			if vt.Len() > maxVertices {
+				return nil, nil, fmt.Errorf("snapshot would grow the stream past the limit of %d vertices", maxVertices)
+			}
 			newIDs = append(newIDs, id)
 		}
 	}
@@ -325,7 +330,8 @@ const (
 	// StreamStateResident: detector state in memory, worker running.
 	StreamStateResident = "resident"
 	// StreamStateHibernated: state journaled to disk and dropped from
-	// memory; the next push or report rehydrates it transparently.
+	// memory; reads are served from its report.json, and the next push
+	// rehydrates it transparently.
 	StreamStateHibernated = "hibernated"
 )
 
