@@ -9,7 +9,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X dyngraph/internal/buildinfo.Version=$(VERSION)
 
-.PHONY: tier1 fmt vet build test race ci bench benchsmoke trace-smoke fuzz-smoke crash-smoke hibernate-smoke incremental-smoke cluster-smoke obs-smoke grow-smoke install
+.PHONY: tier1 fmt vet build test race ci bench benchsmoke trace-smoke fuzz-smoke crash-smoke hibernate-smoke incremental-smoke cluster-smoke obs-smoke grow-smoke install loc
 
 tier1: fmt vet build test
 
@@ -50,6 +50,16 @@ define smoke-tests
 	done
 	$(GO) test -race -run '$(1)' -count=1 $(2)
 endef
+
+# Non-test Go line delta between the revision BASE and the working
+# tree: lines added, removed and the net, over *.go files other than
+# *_test.go. Every change reports this number. New files count once
+# they are staged (git add); untracked ones are not seen.
+#   make loc BASE=<rev>
+loc:
+	@test -n "$(BASE)" || { echo "usage: make loc BASE=<rev>" >&2; exit 1; }
+	@git diff --numstat $(BASE) -- '*.go' ':!*_test.go' | \
+		awk '{ add += $$1; del += $$2 } END { printf "non-test Go lines: +%d -%d net %+d\n", add, del, add - del }'
 
 # Full Go benchmark pass. The solver counters (PCG and block
 # iterations, base solves, allocations per push) are gated by

@@ -176,12 +176,6 @@ type Options struct {
 	// IncrementalMaxEdits overrides the incremental path's edit budget
 	// (default: K/4 edited edges per transition).
 	IncrementalMaxEdits int
-	// SparsifyTargetNNZ, when positive, caps each streamed instance at
-	// roughly this many Laplacian non-zeros (≈ 2× the edge count) by
-	// effective-resistance edge sampling before the solver runs —
-	// trading a bounded distance-approximation error for solve time on
-	// dense snapshots. The first instance is never sparsified.
-	SparsifyTargetNNZ int
 	// SolverTol is the embedding solver's relative residual target
 	// (0 = the solver default of 1e-8). Looser serving tolerances
 	// (typically 1e-5) are what give the incremental path's residual
@@ -199,7 +193,6 @@ func (o Options) commuteConfig() commute.Config {
 		SharedProjections:   o.SharedProjections,
 		IncrementalUpdates:  o.IncrementalUpdates,
 		IncrementalMaxEdits: o.IncrementalMaxEdits,
-		SparsifyTargetNNZ:   o.SparsifyTargetNNZ,
 		Solver:              solver.Options{Tol: o.SolverTol},
 	}
 }

@@ -16,7 +16,7 @@ import (
 // column when prev is reusable. It produces bit-identical embeddings to
 // the block path (TestBlockBuildMatchesPerRowBitwise) and is the
 // baseline of BenchmarkEmbeddingBlockedVsPerRow. It covers cold and
-// warm builds only: no sparsification, no Woodbury correction.
+// warm builds only: no Woodbury correction.
 func newEmbeddingPerRow(g *graph.Graph, prev *Embedding, cfg Config) (*Embedding, error) {
 	if !cfg.reuses(prev, g) {
 		prev = nil

@@ -86,15 +86,6 @@ func (e *Exact) Distance(i, j int) float64 {
 	return d
 }
 
-// EffectiveResistance returns r(i,j) = c(i,j)/V_G, exposed for tests
-// against closed-form resistances on paths, cycles and cliques.
-func (e *Exact) EffectiveResistance(i, j int) float64 {
-	if e.volume == 0 {
-		return math.Inf(1)
-	}
-	return e.Distance(i, j) / e.volume
-}
-
 // Config configures the approximate embedding oracle.
 type Config struct {
 	// K is the embedding dimension (the paper's k, aka k_RP in [15]).
@@ -142,13 +133,6 @@ type Config struct {
 	// one base solve, so large diffs are cheaper as one blocked solve).
 	// Zero means the default max(1, K/4), the measured crossover.
 	IncrementalMaxEdits int
-	// SparsifyTargetNNZ, when positive, caps each snapshot's stored
-	// adjacency entries by effective-resistance (Spielman–Srivastava)
-	// sampling before the solver sees it, using the resistances the
-	// previous embedding already yields (see graph.SparsifyResistance).
-	// The first build of a stream is never sparsified — it has no
-	// resistance estimates yet. Zero (the default) disables the cap.
-	SparsifyTargetNNZ int
 }
 
 func (c Config) k() int {
@@ -235,10 +219,6 @@ type BuildStats struct {
 	// certifies the converged-guess early exit would have returned the
 	// block unchanged.
 	VerifySkipped bool
-	// SparsifiedEdges is the number of edges the pre-solver
-	// effective-resistance cap removed from this snapshot (0 when
-	// sparsification is off or the snapshot was within the target).
-	SparsifiedEdges int
 }
 
 // Embedding is the approximate commute-time oracle. Vertex i's
@@ -314,28 +294,21 @@ func (c Config) reuses(prev *Embedding, g *graph.Graph) bool {
 //     cold build's iterations; on an unchanged graph the rebuild is
 //     free and bit-identical to prev.
 //
-// With Config.SparsifyTargetNNZ set, g is first capped by
-// effective-resistance sampling using prev's resistance estimates (the
-// first build of a stream is never sparsified). span is the parent of
-// the build's "sparsify", "precond", "woodbury", "projection" and "pcg"
-// spans; nil disables them. A solver convergence failure is reported as
-// an error (the partial embedding is not returned: a silently skewed
-// metric is worse than a loud failure).
+// span is the parent of the build's "precond", "woodbury", "projection"
+// and "pcg" spans; nil disables them. A solver convergence failure is
+// reported as an error (the partial embedding is not returned: a
+// silently skewed metric is worse than a loud failure).
 func NewEmbedding(g *graph.Graph, prev *Embedding, cfg Config, span *obs.Span) (*Embedding, error) {
 	if !cfg.reuses(prev, g) {
 		prev = nil
 	}
-	var dropped int
 	b := solver.Build{Span: span}
-	// Sparsification, solver reuse and the Woodbury correction all index
-	// state sized to the previous snapshot, so they need an unchanged
-	// vertex set; a grown snapshot warm-starts on a cold solver. The
-	// diff is taken here once per push and shared by the Woodbury
-	// decision and the solver's reuse path.
+	// Solver reuse and the Woodbury correction both index state sized to
+	// the previous snapshot, so they need an unchanged vertex set; a
+	// grown snapshot warm-starts on a cold solver. The diff is taken
+	// here once per push and shared by the Woodbury decision and the
+	// solver's reuse path.
 	if prev != nil && prev.n == g.N() {
-		if cfg.SparsifyTargetNNZ > 0 {
-			g, dropped = sparsify(g, prev, cfg, span)
-		}
 		diff, err := graph.DiffSupport(prev.g, g)
 		if err != nil {
 			return nil, fmt.Errorf("commute: diff against the previous snapshot: %w", err)
@@ -352,7 +325,7 @@ func NewEmbedding(g *graph.Graph, prev *Embedding, cfg Config, span *obs.Span) (
 		lap:    solver.New(g, cfg.Solver, b),
 		key:    cfg.key(),
 	}
-	emb.stats = BuildStats{Rows: k, PrecondReused: emb.lap.ReusedPrecond(), Mode: "cold", SparsifiedEdges: dropped}
+	emb.stats = BuildStats{Rows: k, PrecondReused: emb.lap.ReusedPrecond(), Mode: "cold"}
 	sameComp := false
 	if prev != nil {
 		emb.stats.Warm = true
@@ -531,16 +504,6 @@ func (e *Embedding) Distance(i, j int) float64 {
 		return 0
 	}
 	return e.volume * sparse.SquaredDistance(e.Vector(i), e.Vector(j))
-}
-
-// EffectiveResistance estimates r(i,j) = c(i,j)/V_G ≈ ‖z_i − z_j‖² —
-// the leverage-score input the spectral sparsifier samples by, already
-// paid for by the embedding's solves.
-func (e *Embedding) EffectiveResistance(i, j int) float64 {
-	if i == j {
-		return 0
-	}
-	return sparse.SquaredDistance(e.Vector(i), e.Vector(j))
 }
 
 // New returns the oracle the paper's experimental setup would pick for

@@ -41,19 +41,6 @@ import (
 // null space; think bridge deletions), a singular capacitance matrix
 // (the same condition caught algebraically), or no retained state.
 
-// sparsify applies the effective-resistance cap to g using the
-// previous embedding's resistance estimates, emitting a "sparsify"
-// span with the kept/dropped split.
-func sparsify(g *graph.Graph, prev *Embedding, cfg Config, span *obs.Span) (*graph.Graph, int) {
-	sp := span.StartChild("sparsify")
-	gs, res := graph.SparsifyResistance(g, cfg.SparsifyTargetNNZ, cfg.Seed, prev.EffectiveResistance)
-	sp.SetInt("target_nnz", int64(cfg.SparsifyTargetNNZ))
-	sp.SetInt("kept", int64(res.Kept))
-	sp.SetInt("dropped", int64(res.Dropped))
-	sp.End()
-	return gs, res.Dropped
-}
-
 // correct builds emb by the low-rank correction of prev's block, for a
 // diff within the edit budget on an unchanged component structure; emb
 // already carries the new snapshot's solver. It reports false when the

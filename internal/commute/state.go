@@ -49,14 +49,9 @@ func (e *Embedding) State() State {
 // bit-identically to the original's. It refuses, with an error, a state
 // whose shape does not match what a build of g under cfg holds (block
 // lengths against n and k, which optional blocks are present, a forest
-// that is not a spanning forest of g), non-finite values, and
-// sparsified configurations, whose embeddings were built on a
-// subsampled graph rather than g. The slices of st are adopted, not
-// copied.
+// that is not a spanning forest of g) and non-finite values. The
+// slices of st are adopted, not copied.
 func Restore(g *graph.Graph, st State, cfg Config) (*Embedding, error) {
-	if cfg.SparsifyTargetNNZ > 0 {
-		return nil, fmt.Errorf("commute: restore: sparsified embeddings are not restorable")
-	}
 	n, k := g.N(), cfg.k()
 	if len(st.Z) != n*k {
 		return nil, fmt.Errorf("commute: restore: z has %d values, want %d×%d", len(st.Z), n, k)

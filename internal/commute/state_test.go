@@ -157,7 +157,6 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 		{"missing forest", inc, func(st *State) { st.Forest = nil }, "forest"},
 		{"corrupt forest", inc, func(st *State) { st.Forest.Order[0] = -5 }, "permutation"},
 		{"forest on a per-instance stream", Config{K: 8, Seed: 3}, func(st *State) { st.Y, st.ResBound, st.NormB = nil, nil, nil }, "per-instance"},
-		{"sparsified stream", Config{K: 8, Seed: 3, SparsifyTargetNNZ: 10}, func(st *State) {}, "sparsified"},
 		{"other k", Config{K: 4, Seed: 3, SharedProjections: true, IncrementalUpdates: true}, func(st *State) {}, "z has"},
 	}
 	for _, tc := range cases {

@@ -387,65 +387,3 @@ func TestIncrementalFuzzAgainstWarmAndCold(t *testing.T) {
 		t.Fatalf("no step took the incremental path: %v", modes)
 	}
 }
-
-// With SparsifyTargetNNZ set, a dense snapshot is capped before the
-// solver sees it — but never the first build, which has no resistance
-// estimates yet.
-func TestIncrementalSparsifiesDenseSnapshots(t *testing.T) {
-	const n = 500
-	rng := rand.New(rand.NewSource(71))
-	b := graph.NewBuilder(n)
-	perm := rng.Perm(n)
-	for i := 1; i < n; i++ {
-		b.AddEdge(perm[i-1], perm[i], 0.5+rng.Float64())
-	}
-	for k := 0; k < 10*n; k++ {
-		i, j := rng.Intn(n), rng.Intn(n)
-		if i != j {
-			b.SetEdge(i, j, 0.5+rng.Float64())
-		}
-	}
-	g0 := b.MustBuild()
-	g1 := reweightSome(rng, g0, 2)
-
-	cfg := incCfg()
-	cfg.SparsifyTargetNNZ = g0.NumEdges() // ≈ half the 2m stored entries
-	prev, err := NewEmbedding(g0, nil, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prev.Stats().SparsifiedEdges != 0 {
-		t.Fatalf("first build sparsified %d edges, want 0", prev.Stats().SparsifiedEdges)
-	}
-	emb, err := NewEmbedding(g1, prev, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := emb.Stats()
-	if st.SparsifiedEdges == 0 {
-		t.Fatal("dense snapshot was not sparsified")
-	}
-	if got := emb.g.NumEdges(); got >= g1.NumEdges() {
-		t.Fatalf("sparsified graph has %d edges, original %d", got, g1.NumEdges())
-	}
-	// The sparsifier approximates the graph spectrally; distances stay
-	// in the right ballpark (loose statistical bound, deterministic
-	// seeds).
-	full, err := NewEmbedding(g1, nil, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var relErr float64
-	const pairs = 300
-	for p := 0; p < pairs; p++ {
-		i, j := rng.Intn(n), rng.Intn(n)
-		for i == j {
-			j = rng.Intn(n)
-		}
-		df, ds := full.Distance(i, j), emb.Distance(i, j)
-		relErr += math.Abs(ds-df) / (df + 1e-12)
-	}
-	if avg := relErr / pairs; avg > 0.6 {
-		t.Fatalf("sparsified distances drifted %.0f%% on average", 100*avg)
-	}
-}

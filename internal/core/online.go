@@ -85,9 +85,6 @@ type OracleStats struct {
 	// certificate proved the corrected block met tolerance and the
 	// verification solve was skipped (bit-identical to running it).
 	VerifySkipped bool
-	// SparsifiedEdges counts edges dropped by the effective-resistance
-	// pre-solver cap (Commute.SparsifyTargetNNZ) before this build.
-	SparsifiedEdges int
 	// PrecondReused is true when the solver preconditioner was shared
 	// or patched rather than rebuilt.
 	PrecondReused bool
@@ -173,7 +170,6 @@ func (o *OnlineDetector) buildOracle(g *graph.Graph, t int, prev commute.Oracle,
 		st.Mode = bs.Mode
 		st.BaseSolves = bs.BaseSolves
 		st.VerifySkipped = bs.VerifySkipped
-		st.SparsifiedEdges = bs.SparsifiedEdges
 		st.PrecondReused = bs.PrecondReused
 		st.PCGIterations = bs.PCGIterations
 		st.BlockIterations = bs.BlockIterations
@@ -277,9 +273,6 @@ func (o *OnlineDetector) PushTraced(g *graph.Graph, parent *obs.Span) (*Transiti
 		if o.lastStats.BaseSolves > 0 {
 			sp.SetInt("base_solves", int64(o.lastStats.BaseSolves))
 			sp.SetBool("verify_skipped", o.lastStats.VerifySkipped)
-		}
-		if o.lastStats.SparsifiedEdges > 0 {
-			sp.SetInt("sparsified_edges", int64(o.lastStats.SparsifiedEdges))
 		}
 		sp.End()
 	} else {

@@ -53,13 +53,11 @@ type OnlineState struct {
 	// for raw index streams; len == N when set).
 	VertexIDs []string
 	// Oracle is the embedding state of Prev's commute oracle, or nil.
-	// State sets it whenever the detector holds an embedding it can
-	// persist. It is nil for exact oracles (a pure function of Prev,
-	// cheap to rebuild), for sparsified streams (whose embeddings are
-	// built on a subsampled graph, not Prev), for the ADJ variant
-	// (which builds none) and before the first instance. Nil means the
-	// next Push rebuilds the oracle from Prev, as after a restore from
-	// a journal that does not carry it.
+	// State sets it whenever the detector holds an embedding. It is nil
+	// for exact oracles (a pure function of Prev, cheap to rebuild), for
+	// the ADJ variant (which builds none) and before the first instance.
+	// Nil means the next Push rebuilds the oracle from Prev, as after a
+	// restore from a journal that does not carry it.
 	Oracle *commute.State
 }
 
@@ -79,7 +77,7 @@ func (o *OnlineDetector) State() OnlineState {
 	if o.ids != nil {
 		st.VertexIDs = append([]string(nil), o.ids...)
 	}
-	if emb, ok := o.prevOra.(*commute.Embedding); ok && o.cfg.Commute.SparsifyTargetNNZ <= 0 {
+	if emb, ok := o.prevOra.(*commute.Embedding); ok {
 		ost := emb.State()
 		st.Oracle = &ost
 	}

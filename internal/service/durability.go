@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -390,16 +391,23 @@ type recoveredStream struct {
 // config.json (required), the snapshot if present, and every WAL
 // record past the snapshot. Record application verifies the digest
 // chain and instance contiguity, so a journal that lies about itself
-// is refused rather than restored. The returned log is open and
-// positioned for appends; on error it is closed.
+// is refused rather than restored, and so is a config.json naming a
+// field StreamConfig lacks, as a create body naming one is. The
+// returned log is open and positioned for appends; on error it is
+// closed.
 func recoverStreamDir(dir string, fsync bool) (*recoveredStream, error) {
 	cfgJSON, err := os.ReadFile(filepath.Join(dir, streamConfigFile))
 	if err != nil {
 		return nil, fmt.Errorf("stream config: %w", err)
 	}
 	var cfg StreamConfig
-	if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(cfgJSON))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return nil, fmt.Errorf("stream config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("stream config: data after the config object")
 	}
 
 	rs := &recoveredStream{cfg: cfg, cfgJSON: cfgJSON}
@@ -592,19 +600,7 @@ func (s *Server) recoverOne(id, dir string) error {
 		return fmt.Errorf("service: stream %q already exists", id)
 	}
 	if !governed {
-		j := &journal{
-			log:           rs.log,
-			snapPath:      filepath.Join(dir, streamSnapshotFile),
-			cfgJSON:       rs.cfgJSON,
-			snapshotEvery: s.cfg.SnapshotEvery,
-			sinceSnapshot: rs.replayed,
-			chain:         rs.chain,
-			streamID:      id,
-			logger:        s.cfg.Logger,
-			metrics:       s.metrics,
-			sink:          s.cfg.Replication,
-		}
-		st := startStream(id, cfg, s.metrics, s.cfg.Logger, det, int64(rs.state.T), j, nil, s.sizedFor(id))
+		st := startStream(id, cfg, s.metrics, s.cfg.Logger, det, int64(rs.state.T), s.journalFor(id, rs), nil, s.sizedFor(id))
 		e = &entry{id: id, st: st}
 		s.lru.Touch(id, time.Now())
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -477,6 +478,97 @@ func TestDurabilityVertexCapRefused(t *testing.T) {
 			}
 			if _, err := cl.PushAt(ctx, "ok", seq.At(3), 3, true); err != nil {
 				t.Fatalf("push to the valid stream: %v", err)
+			}
+		})
+	}
+}
+
+// TestCreateStreamRefusesUnknownFields: a create body naming a field
+// StreamConfig does not have — a retired option or a misspelling — is
+// refused with 400 rather than served as if it had not been asked for,
+// and leaves neither a stream nor a stream directory behind.
+func TestCreateStreamRefusesUnknownFields(t *testing.T) {
+	dataDir := t.TempDir()
+	srv, hs, cl, _ := bootServer(t, Config{DataDir: dataDir})
+	for name, body := range map[string]string{
+		"retired option": `{"l":3,"sparsify_target_nnz":30}`,
+		"misspelling":    `{"l":3,"shared_projection":true}`,
+	} {
+		req, err := http.NewRequest(http.MethodPut, hs.URL+"/v1/streams/s", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unknown field") {
+			t.Fatalf("%s: %d %s, want 400 naming the unknown field", name, resp.StatusCode, msg)
+		}
+		if _, ok := srv.StreamInfo("s"); ok {
+			t.Fatalf("%s: the refused create registered a stream", name)
+		}
+		if _, err := os.Stat(streamDir(dataDir, "s")); !os.IsNotExist(err) {
+			t.Fatalf("%s: the refused create left a stream directory: %v", name, err)
+		}
+	}
+	if err := cl.CreateStream(context.Background(), "s", StreamConfig{L: 3}); err != nil {
+		t.Fatalf("valid create after the refused ones: %v", err)
+	}
+}
+
+// TestDurabilityRetiredConfigRefused: a data dir whose stream config
+// names a field StreamConfig does not have — here the retired
+// sparsify_target_nnz — boots with that stream refused, counted in
+// cadd_recovery_failures_total and its directory left for inspection,
+// while the valid stream beside it recovers its report byte-identical,
+// under governed and ungoverned boots alike.
+func TestDurabilityRetiredConfigRefused(t *testing.T) {
+	dataDir := t.TempDir()
+	seq := testSequence(t, 4, 37)
+	_, hs, cl, stop := bootServer(t, Config{DataDir: dataDir})
+	ctx := context.Background()
+	for _, id := range []string{"ok", "retired"} {
+		if err := cl.CreateStream(ctx, id, StreamConfig{L: 2}); err != nil {
+			t.Fatal(err)
+		}
+		pushRange(t, cl, id, seq, 0, 3)
+	}
+	want := httpGetBody(t, hs, "/v1/streams/ok/report")
+	stop()
+	cfgPath := filepath.Join(streamDir(dataDir, "retired"), streamConfigFile)
+	if err := os.WriteFile(cfgPath, []byte(`{"l":2,"sparsify_target_nnz":30}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"ungoverned", Config{}},
+		{"governed", Config{HibernateAfter: time.Hour, GovernorInterval: time.Hour}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			image := t.TempDir()
+			copyDir(t, dataDir, image)
+			tc.cfg.DataDir = image
+			srv, hs, cl, _ := bootServer(t, tc.cfg)
+			if _, ok := srv.StreamInfo("retired"); ok {
+				t.Fatal("the stream whose config names a retired field was recovered")
+			}
+			if v := srv.metrics.counterValue("cadd_recovery_failures_total", labels("stream", "retired")); v != 1 {
+				t.Fatalf("cadd_recovery_failures_total{stream=\"retired\"} = %g, want 1", v)
+			}
+			if _, err := os.Stat(filepath.Join(streamDir(image, "retired"), streamWALFile)); err != nil {
+				t.Fatalf("the refused stream's directory was not left in place: %v", err)
+			}
+			if err := cl.CreateStream(ctx, "retired", StreamConfig{L: 2}); err == nil {
+				t.Fatal("create over the refused stream's directory was allowed")
+			}
+			if got := httpGetBody(t, hs, "/v1/streams/ok/report"); !bytes.Equal(got, want) {
+				t.Fatal("the valid stream beside the refused one recovered a different report")
 			}
 		})
 	}

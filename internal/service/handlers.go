@@ -352,7 +352,10 @@ func (s *Server) handleCreateStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var cfg StreamConfig
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&cfg); err != nil {
+		// A field StreamConfig lacks is refused, never silently dropped.
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&cfg); err != nil {
 			writeError(w, http.StatusBadRequest, "bad stream config: %v", err)
 			return
 		}

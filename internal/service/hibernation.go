@@ -293,24 +293,6 @@ func (s *Server) Push(id string, g *graph.Graph, sync bool) (PushResult, error) 
 	return s.push(id, g, nil, sync, pushContext{}, -1)
 }
 
-// PushSnapshot ingests one wire-form snapshot, supporting both
-// addressing modes: external-ID snapshots (Snapshot.IDs set) are
-// mapped to dense indices by the stream's worker. The programmatic
-// twin of POST /v1/streams/{id}/snapshots with an ids body.
-func (s *Server) PushSnapshot(id string, snap Snapshot, sync bool) (PushResult, error) {
-	if snap.IDs != nil {
-		if err := snap.validateIDs(); err != nil {
-			return PushResult{}, err
-		}
-		return s.push(id, nil, &snap, sync, pushContext{}, -1)
-	}
-	g, err := snap.Graph()
-	if err != nil {
-		return PushResult{}, err
-	}
-	return s.push(id, g, nil, sync, pushContext{}, -1)
-}
-
 // push is the shared ingest path: acquire (rehydrating if needed),
 // enqueue, and retry the acquire when the enqueue lost a race against
 // a concurrent hibernation — the retried acquire parks on the entry

@@ -147,34 +147,3 @@ func TestIncrementalSolverTolThreadsThrough(t *testing.T) {
 		t.Fatalf("unset solver_tol became tolerance %g, want the 1e-8 default", got)
 	}
 }
-
-// TestSparsifyStreamCountsDroppedEdges opts a stream into the
-// effective-resistance pre-solver cap and checks the dropped-edge
-// counter moves (and that the stream keeps serving reports).
-func TestSparsifyStreamCountsDroppedEdges(t *testing.T) {
-	srv, cl := newTestServer(t, Config{})
-	ctx := context.Background()
-	seq := smallEditSequence(t, 3)
-
-	cfg := StreamConfig{
-		L: 3, K: 16, Seed: 7, ExactCutoff: 1,
-		SharedProjections: true, SparsifyTargetNNZ: 30,
-	}
-	if err := cl.CreateStream(ctx, "sparse", cfg); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < seq.T(); i++ {
-		if _, err := cl.Push(ctx, "sparse", seq.At(i), true); err != nil {
-			t.Fatalf("push %d: %v", i, err)
-		}
-	}
-	if _, err := cl.Report(ctx, "sparse"); err != nil {
-		t.Fatal(err)
-	}
-	// The two-cluster snapshots carry 31 edges (62 Laplacian non-zeros),
-	// so a 30-nnz target must drop edges on every build after the first
-	// (the first has no resistance estimates and is never sparsified).
-	if n := srv.metrics.counterValue("cadd_sparsified_edges_total", labels("stream", "sparse")); n <= 0 {
-		t.Fatalf("cadd_sparsified_edges_total = %g, want > 0", n)
-	}
-}

@@ -163,11 +163,10 @@ func New(cfg Config) *Server {
 	m.describe("cadd_snapshots_rejected_total", "Snapshots rejected with 429 because the bounded queue was full.")
 	m.describe("cadd_push_errors_total", "Detector Push failures (e.g. vertex-count mismatch).")
 	m.describe("cadd_oracle_builds_total", "Commute-oracle builds by mode: incremental (low-rank Woodbury correction), warm (warm-started rebuild), cold, or exact (small-n pseudoinverse).")
-	m.describe("cadd_oracle_rebuilds_total", "Pushes that first rebuilt the previous instance's oracle because the restore that preceded them did not carry it (a WAL tail after a crash, the exact regime, sparsified streams, snapshots without an oracle block).")
+	m.describe("cadd_oracle_rebuilds_total", "Pushes that first rebuilt the previous instance's oracle because the restore that preceded them did not carry it (a WAL tail after a crash, the exact regime, snapshots without an oracle block).")
 	m.describe("cadd_pcg_iterations_total", "PCG iterations spent building embedding oracles, summed per column.")
 	m.describe("cadd_pcg_block_iterations_total", "Blocked-PCG iterations (matrix traversals) spent building embedding oracles; iterations_total / block_iterations_total is the SpMM amortization factor.")
 	m.describe("cadd_pcg_cold_estimate_total", "Estimated PCG iterations the same builds would have cost without warm starts.")
-	m.describe("cadd_sparsified_edges_total", "Edges dropped by the effective-resistance pre-solver cap (sparsify_target_nnz).")
 	m.describe("cadd_slow_pushes_total", "Pushes that crossed the stream's slow-push logging threshold.")
 	m.describe("cadd_recovered_streams_total", "Streams restored from their on-disk journal at boot.")
 	m.describe("cadd_recovery_failures_total", "Stream journals that could not be restored (directory left for inspection).")

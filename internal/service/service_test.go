@@ -76,7 +76,6 @@ func onlineConfig(cfg StreamConfig) core.Config {
 			SharedProjections:   cfg.SharedProjections,
 			IncrementalUpdates:  cfg.IncrementalUpdates,
 			IncrementalMaxEdits: cfg.IncrementalMaxEdits,
-			SparsifyTargetNNZ:   cfg.SparsifyTargetNNZ,
 		},
 		ExactCutoff: cfg.ExactCutoff,
 	}

@@ -324,9 +324,6 @@ func (s *stream) run() {
 				s.metrics.add("cadd_pcg_iterations_total", labels("stream", s.id), float64(ost.PCGIterations))
 				s.metrics.add("cadd_pcg_block_iterations_total", labels("stream", s.id), float64(ost.BlockIterations))
 				s.metrics.add("cadd_pcg_cold_estimate_total", labels("stream", s.id), float64(ost.ColdEstimateIterations))
-				if ost.SparsifiedEdges > 0 {
-					s.metrics.add("cadd_sparsified_edges_total", labels("stream", s.id), float64(ost.SparsifiedEdges))
-				}
 			}
 		}
 		if j.done != nil {

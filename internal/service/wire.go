@@ -80,11 +80,6 @@ type StreamConfig struct {
 	// IncrementalMaxEdits overrides the incremental path's edit budget
 	// (default: k/4 edited edges).
 	IncrementalMaxEdits int `json:"incremental_max_edits,omitempty"`
-	// SparsifyTargetNNZ, when positive, caps each snapshot at roughly
-	// this many Laplacian non-zeros (≈ 2× the edge count) by
-	// effective-resistance edge sampling before the solver runs. The
-	// first snapshot is never sparsified (no resistance estimates yet).
-	SparsifyTargetNNZ int `json:"sparsify_target_nnz,omitempty"`
 	// SolverTol is the embedding solver's relative residual target
 	// (0 = the solver default of 1e-8). Streams whose scores tolerate
 	// it typically serve at 1e-5; a looser tolerance also gives the
@@ -149,7 +144,6 @@ func (c StreamConfig) coreConfig() (core.Config, error) {
 			SharedProjections:   c.SharedProjections,
 			IncrementalUpdates:  c.IncrementalUpdates,
 			IncrementalMaxEdits: c.IncrementalMaxEdits,
-			SparsifyTargetNNZ:   c.SparsifyTargetNNZ,
 			Solver:              solver.Options{Tol: c.SolverTol},
 		},
 		ExactCutoff: c.ExactCutoff,

@@ -112,10 +112,9 @@ type StreamSnapshot struct {
 	// restore scores the next instance without rebuilding Prev's. It
 	// describes Prev only: records replayed past the snapshot move Prev
 	// on and the block no longer applies. Nil when the stream keeps no
-	// persistable embedding (exact or sparsified oracles, the ADJ
-	// variant). A gob-added field: snapshots written before it decode
-	// with it nil, and their streams rebuild the oracle on the first
-	// push.
+	// embedding (exact oracles, the ADJ variant). A gob-added field:
+	// snapshots written before it decode with it nil, and their streams
+	// rebuild the oracle on the first push.
 	Oracle *OracleData
 	// Digest is the state-digest chain value at the snapshot instant;
 	// WAL records appended after the snapshot chain from it.
